@@ -11,13 +11,12 @@ elements.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, gammainc
 
 from .channel import DEFAULT_SCALE_MODE, SCALE_PAPER, clt_psi2
-from .detectors import Scheme
+from .detectors import Scheme, interference_power
 from .errors import ConfigurationError
 from .specfun import (
     QuadratureSpec,
@@ -32,16 +31,6 @@ JOINT_PRINTED = "printed"
 JOINT_QUADRATURE = "quadrature"
 JOINT_METHODS = (JOINT_PRINTED, JOINT_QUADRATURE)
 DEFAULT_JOINT_METHOD = JOINT_QUADRATURE
-
-
-@dataclass(frozen=True)
-class OutagePoint:
-    """One analytic outage value together with the inputs that fix it."""
-
-    scheme: Scheme
-    stream_index: int
-    gamma_th: float
-    probability: float
 
 
 def _check_stream(cfg, i):
@@ -67,7 +56,7 @@ def outage_direct(cfg, i, gamma_th):
     _check_stream(cfg, i)
     g = _check_threshold(gamma_th)
     p = cfg.tx_snr
-    noise = p * cfg.ris_elements * cfg.gain_ris_rx * cfg.gain_tx_ris.sum() + 1.0
+    noise = interference_power(cfg, Scheme.DirectCsi, p) + 1.0
     shape = cfg.rx_antennas - cfg.streams + 1
     return regularized_lower_gamma(shape, g * noise / (p * cfg.gain_direct[i]))
 
@@ -76,7 +65,7 @@ def outage_direct_limit(cfg, i, gamma_th):
     """p -> inf limit of outage_direct (the outage floor)."""
     _check_stream(cfg, i)
     g = _check_threshold(gamma_th)
-    scale = cfg.ris_elements * cfg.gain_ris_rx * cfg.gain_tx_ris.sum()
+    scale = interference_power(cfg, Scheme.DirectCsi)
     shape = cfg.rx_antennas - cfg.streams + 1
     return regularized_lower_gamma(shape, g * scale / cfg.gain_direct[i])
 
@@ -92,8 +81,9 @@ def _check_ris_dims(cfg):
 def _ris_kappa(cfg, i, limit=False):
     denom = cfg.gain_ris_rx * cfg.gain_tx_ris[i]
     if limit:
-        return cfg.gain_direct.sum() / denom
-    return (cfg.tx_snr * cfg.gain_direct.sum() + 1.0) / (cfg.tx_snr * denom)
+        return interference_power(cfg, Scheme.RisCsi) / denom
+    p = cfg.tx_snr
+    return (interference_power(cfg, Scheme.RisCsi, p) + 1.0) / (p * denom)
 
 
 def outage_ris(cfg, i, gamma_th, quad=None):

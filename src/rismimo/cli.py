@@ -263,13 +263,19 @@ def write_csv(path, manifest, rows):
 
 
 def write_json(path, manifest, rows):
+    # JSON has no NaN: a value without a law in range is written as null
+    rows = [
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v
+         for k, v in row.items()}
+        for row in rows
+    ]
     doc = {
         "manifest": dict(manifest_items(manifest)),
         "columns": list(CSV_COLUMNS),
         "rows": rows,
     }
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, indent=1)
+        json.dump(doc, fh, indent=1, allow_nan=False)
         fh.write("\n")
 
 

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmatrix
-from .channel import composite_batch, composite_channel
-from .errors import ConfigurationError, NumericalRankError
+from .channel import composite_channel
+from .errors import ConfigurationError
 
 
 class Scheme(enum.Enum):
@@ -61,6 +61,30 @@ def threshold_from_rate(rate):
     return float(2.0**rate - 1.0)
 
 
+def interference_power(cfg, scheme, p=1.0):
+    """p times the average power of the path a scheme leaves unequalized.
+
+    DirectCsi does not equalize the cascade, of power L xi2_H sum_k xi2_G,k;
+    RisCsi does not equalize the direct path, of power sum_k xi2_D,k. The
+    other schemes equalize both paths (0). p is multiplied in first, so
+    every caller rounds the product in the same order.
+    """
+    if scheme is Scheme.DirectCsi:
+        return p * cfg.ris_elements * cfg.gain_ris_rx * float(cfg.gain_tx_ris.sum())
+    if scheme is Scheme.RisCsi:
+        return p * float(cfg.gain_direct.sum())
+    return 0.0
+
+
+def check_cascade_rank(cfg):
+    """Cascade-CSI ZF needs L >= M for H Phi G to have full column rank."""
+    if cfg.ris_elements < cfg.streams:
+        raise ConfigurationError(
+            "cascade-CSI detection needs ris_elements >= streams "
+            f"({cfg.ris_elements} < {cfg.streams})"
+        )
+
+
 def _cascade(real):
     return (real.ris_rx * np.exp(1j * real.phases)[np.newaxis, :]) @ real.tx_ris
 
@@ -73,14 +97,14 @@ def snr_direct(real, cfg):
     """
     g = cmatrix.gram_inverse_diag(real.direct)
     p = cfg.tx_snr
-    noise = p * cfg.ris_elements * cfg.gain_ris_rx * cfg.gain_tx_ris.sum() + 1.0
+    noise = interference_power(cfg, Scheme.DirectCsi, p) + 1.0
     return SnrSample(Scheme.DirectCsi, p / (noise * g))
 
 
 def floor_direct(real, cfg):
     """p -> inf limit of snr_direct on the same realization."""
     g = cmatrix.gram_inverse_diag(real.direct)
-    scale = cfg.ris_elements * cfg.gain_ris_rx * cfg.gain_tx_ris.sum()
+    scale = interference_power(cfg, Scheme.DirectCsi)
     return SnrSample(Scheme.DirectCsi, 1.0 / (scale * g))
 
 
@@ -92,26 +116,18 @@ def snr_ris(real, cfg):
     average power p sum_k xi2_D,k. Needs L >= M for the cascade to have
     full column rank.
     """
-    if cfg.ris_elements < cfg.streams:
-        raise ConfigurationError(
-            "cascade-CSI detection needs ris_elements >= streams "
-            f"({cfg.ris_elements} < {cfg.streams})"
-        )
+    check_cascade_rank(cfg)
     g = cmatrix.gram_inverse_diag(_cascade(real))
     p = cfg.tx_snr
-    noise = p * cfg.gain_direct.sum() + 1.0
+    noise = interference_power(cfg, Scheme.RisCsi, p) + 1.0
     return SnrSample(Scheme.RisCsi, p / (noise * g))
 
 
 def floor_ris(real, cfg):
     """p -> inf limit of snr_ris on the same realization."""
-    if cfg.ris_elements < cfg.streams:
-        raise ConfigurationError(
-            "cascade-CSI detection needs ris_elements >= streams "
-            f"({cfg.ris_elements} < {cfg.streams})"
-        )
+    check_cascade_rank(cfg)
     g = cmatrix.gram_inverse_diag(_cascade(real))
-    return SnrSample(Scheme.RisCsi, 1.0 / (cfg.gain_direct.sum() * g))
+    return SnrSample(Scheme.RisCsi, 1.0 / (interference_power(cfg, Scheme.RisCsi) * g))
 
 
 def snr_full(real, cfg):
@@ -141,9 +157,9 @@ def snr_joint(real, cfg):
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels for the Monte Carlo engine. Same math as above on stacked
-# arrays (leading axis = trial). Rank deficiency is flagged per trial rather
-# than raised, so the engine can count failures.
+# Batched kernels for the Monte Carlo engine: the math above on stacked
+# arrays (leading axis = trial); one-stream requests form R factors only.
+# Rank deficiency is flagged per trial, not raised, so failures get counted.
 # ---------------------------------------------------------------------------
 
 
@@ -152,62 +168,83 @@ def _batch_rank_ok(rdiag_abs):
     return rdiag_abs.min(axis=1) >= cmatrix.RANK_RTOL * top
 
 
-def _batch_gram_inverse_diag(a):
-    """(diag((A^H A)^{-1}), rank-ok flags) for a (count, n, m) stack."""
-    _, r = np.linalg.qr(a)
+def _batch_inverse_gram(a, stream=None):
+    """(diag((A^H A)^{-1}), rank-ok flags) for a (count, n, m) stack.
+
+    With ``stream`` given, only that entry is computed: with column i moved
+    last, 1/[(A^H A)^{-1}]_{ii} = |r_mm|^2 is the squared distance of a_i
+    from the span of the other columns. Otherwise entry i is the squared
+    norm of row i of R^{-1}. Flagged trials get g = 1.
+    """
+    m = a.shape[2]
+    if stream is not None:
+        a = a[:, :, [k for k in range(m) if k != stream] + [stream]]
+    r = np.linalg.qr(a, mode="r")
     d = np.abs(np.diagonal(r, axis1=1, axis2=2))
     ok = _batch_rank_ok(d)
+    if stream is not None:
+        return 1.0 / np.where(ok, d[:, -1], 1.0) ** 2, ok
     if not ok.all():
-        r = r.copy()
-        eye = np.eye(r.shape[1], dtype=r.dtype)
-        r[~ok] = eye
-    rinv = np.linalg.inv(r)
-    return np.sum(np.abs(rinv) ** 2, axis=2), ok
+        r[~ok] = np.eye(m, dtype=r.dtype)
+    return np.sum(np.abs(np.linalg.inv(r)) ** 2, axis=2), ok
+
+
+def _batch_joint(direct, cascade, stream=None):
+    """(|r_ii + q_i^H c_i|^2, rank-ok flags) with H_d = QR, per trial.
+
+    With ``stream`` given, Q is never formed: the R factor of [H_d, c_i]
+    holds R in its first M columns and Q^H c_i in the last, so
+    t_i = R[i, M]. For all streams Q is formed instead: factoring all of
+    [H_d, C] would compute the whole of Q^H C to use its diagonal.
+    """
+    m = direct.shape[2]
+    if stream is None:
+        q, r = np.linalg.qr(direct)
+        t = np.einsum("bnm,bnm->bm", q.conj(), cascade)
+    else:
+        a = np.concatenate((direct, cascade[:, :, stream:stream + 1]), axis=2)
+        r = np.linalg.qr(a, mode="r")
+        t = r[:, stream, m]
+    rdiag = np.diagonal(r[:, :m, :m], axis1=1, axis2=2)
+    ok = _batch_rank_ok(np.abs(rdiag))
+    if stream is not None:
+        rdiag = rdiag[:, stream]
+    return np.abs(rdiag + t) ** 2, ok
 
 
 def _batch_cascade(batch):
     return (batch.ris_rx * np.exp(1j * batch.phases)[:, np.newaxis, :]) @ batch.tx_ris
 
 
-def batch_gammas(batch, cfg, schemes):
+def batch_gammas(batch, cfg, schemes, streams=None):
     """Per-stream SNRs for each requested scheme on a shared channel stack.
 
-    Returns (gammas, ok) with gammas[scheme] of shape (count, M) and ok a
-    (count,) mask of trials where every requested decomposition had full
-    numerical rank.
+    Returns (gammas, ok) with ok a (count,) mask of trials where every
+    requested decomposition had full numerical rank. gammas[scheme] has
+    shape (count, M); given ``streams``, a {scheme: stream index} dict, it
+    has shape (count,) and holds that stream alone, which costs one R
+    factor per scheme and no inverse.
     """
-    p = cfg.tx_snr
-    count = batch.direct.shape[0]
-    ok = np.ones(count, dtype=bool)
-    gammas = {}
-    need_cascade = any(
-        s in (Scheme.RisCsi, Scheme.FullCsi, Scheme.Joint) for s in schemes
-    )
-    cascade = _batch_cascade(batch) if need_cascade else None
-
-    if Scheme.DirectCsi in schemes:
-        g, k = _batch_gram_inverse_diag(batch.direct)
-        noise = p * cfg.ris_elements * cfg.gain_ris_rx * cfg.gain_tx_ris.sum() + 1.0
-        gammas[Scheme.DirectCsi] = p / (noise * g)
-        ok &= k
     if Scheme.RisCsi in schemes:
-        if cfg.ris_elements < cfg.streams:
-            raise ConfigurationError(
-                "cascade-CSI detection needs ris_elements >= streams "
-                f"({cfg.ris_elements} < {cfg.streams})"
-            )
-        g, k = _batch_gram_inverse_diag(cascade)
-        noise = p * cfg.gain_direct.sum() + 1.0
-        gammas[Scheme.RisCsi] = p / (noise * g)
+        check_cascade_rank(cfg)
+    p = cfg.tx_snr
+    ok = np.ones(batch.direct.shape[0], dtype=bool)
+    gammas = {}
+    need_cascade = any(s is not Scheme.DirectCsi for s in schemes)
+    cascade = _batch_cascade(batch) if need_cascade else None
+    for s in schemes:
+        i = None if streams is None else streams[s]
+        if s is Scheme.Joint:
+            g, k = _batch_joint(batch.direct, cascade, i)
+            gammas[s] = p * g
+        else:
+            if s is Scheme.DirectCsi:
+                a = batch.direct
+            elif s is Scheme.RisCsi:
+                a = cascade
+            else:
+                a = batch.direct + cascade
+            g, k = _batch_inverse_gram(a, i)
+            gammas[s] = p / ((interference_power(cfg, s, p) + 1.0) * g)
         ok &= k
-    if Scheme.FullCsi in schemes:
-        g, k = _batch_gram_inverse_diag(batch.direct + cascade)
-        gammas[Scheme.FullCsi] = p / g
-        ok &= k
-    if Scheme.Joint in schemes:
-        q, r = np.linalg.qr(batch.direct)
-        rdiag = np.diagonal(r, axis1=1, axis2=2)
-        ok &= _batch_rank_ok(np.abs(rdiag))
-        t = np.einsum("bnm,bnm->bm", q.conj(), cascade)
-        gammas[Scheme.Joint] = p * np.abs(rdiag + t) ** 2
     return gammas, ok

@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .channel import DEFAULT_SCALE_MODE, SeedSpec, SystemConfig, draw_channel_batch
-from .detectors import Scheme, batch_gammas, threshold_from_rate
+from .detectors import Scheme, batch_gammas, interference_power, threshold_from_rate
 from .errors import ConfigurationError, NumericalRankError
 from . import analytic
 
@@ -165,12 +165,7 @@ def threshold_at_unit_snr(scheme, cfg, tx_snr, gamma_th):
         raise ConfigurationError(f"transmit SNR must be positive, got {p}")
     if gamma_th == math.inf:
         return math.inf
-    if scheme is Scheme.DirectCsi:
-        c = cfg.ris_elements * cfg.gain_ris_rx * float(cfg.gain_tx_ris.sum())
-    elif scheme is Scheme.RisCsi:
-        c = float(cfg.gain_direct.sum())
-    else:
-        return gamma_th / p
+    c = interference_power(cfg, scheme)
     return gamma_th * (p * c + 1.0) / (p * (c + 1.0))
 
 
@@ -190,53 +185,47 @@ def _chunk_ranges(n_blocks, workers):
     ]
 
 
-def _samples_chunk(payload):
-    """Unit-power SNR samples for a contiguous range of trial blocks.
+def _chunk(payload):
+    """(parts, failures) for a contiguous range of trial blocks.
 
-    Returns ({scheme: 1-D array at the requested stream}, valid, failures);
-    rank-failed trials are dropped from every scheme alike so the common
-    draws stay aligned.
+    parts[scheme] has one entry per block: the valid trials' SNRs at the
+    scheme's stream, or, given ``thresholds``, their per-stream counts
+    below thresholds[scheme]. Rank-failed trials are dropped from every
+    scheme alike so the common draws stay aligned.
     """
-    cfg, schemes, streams, master_seed, first, sizes = payload
+    cfg, schemes, streams, thresholds, master_seed, first, sizes = payload
     parts = {s: [] for s in schemes}
-    valid = 0
     failures = 0
     for off, size in enumerate(sizes):
         batch = draw_channel_batch(cfg, SeedSpec(master_seed, first + off), size)
-        gammas, ok = batch_gammas(batch, cfg, schemes)
-        bad = int(size - ok.sum())
+        gammas, ok = batch_gammas(batch, cfg, schemes, streams)
+        bad = size - int(ok.sum())
         failures += bad
-        valid += size - bad
         for s in schemes:
-            col = gammas[s][:, streams[s]]
-            parts[s].append(col[ok] if bad else col)
-    out = {s: np.concatenate(parts[s]) if parts[s] else np.empty(0) for s in schemes}
-    return out, valid, failures
+            g = gammas[s][ok] if bad else gammas[s]
+            if thresholds is not None:
+                g = np.count_nonzero(g < thresholds[s], axis=0)
+            parts[s].append(g)
+    return parts, failures
 
 
-def _counts_chunk(payload):
-    """Per-stream outage counts for a contiguous range of trial blocks."""
-    cfg, schemes, thresholds, master_seed, first, sizes = payload
-    counts = {s: np.zeros(cfg.streams, dtype=np.int64) for s in schemes}
-    valid = 0
-    failures = 0
-    for off, size in enumerate(sizes):
-        batch = draw_channel_batch(cfg, SeedSpec(master_seed, first + off), size)
-        gammas, ok = batch_gammas(batch, cfg, schemes)
-        bad = int(size - ok.sum())
-        failures += bad
-        valid += size - bad
-        for s in schemes:
-            g = gammas[s] if not bad else gammas[s][ok]
-            counts[s] += np.count_nonzero(g < thresholds[s], axis=0)
-    return counts, valid, failures
-
-
-def _run_chunks(worker, payloads, workers):
-    if workers <= 1 or len(payloads) <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, payloads))
+def _collect(cfg, schemes, streams, thresholds, trials, seed, workers):
+    """All trial blocks through `_chunk` on ``workers`` processes:
+    ({scheme: block results in index order}, failures)."""
+    workers = max(1, int(workers))
+    sizes = _block_plan(trials)
+    payloads = [
+        (cfg, schemes, streams, thresholds, seed.master_seed, lo, sizes[lo:hi])
+        for lo, hi in _chunk_ranges(len(sizes), workers)
+    ]
+    if workers == 1 or len(payloads) == 1:
+        results = [_chunk(p) for p in payloads]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_chunk, payloads))
+    failures = sum(r[1] for r in results)
+    _check_failures(failures, trials)
+    return {s: [x for r in results for x in r[0][s]] for s in schemes}, failures
 
 
 def _check_failures(failures, trials):
@@ -277,19 +266,8 @@ def snr_samples(cfg, schemes, trials, seed, stream=None, workers=1):
     schemes = canonical_schemes(schemes)
     trials = _validate_trials(trials)
     streams = resolve_streams(cfg, schemes, stream)
-    sizes = _block_plan(trials)
-    ranges = _chunk_ranges(len(sizes), max(1, int(workers)))
-    payloads = [
-        (cfg, schemes, streams, seed.master_seed, lo, sizes[lo:hi])
-        for lo, hi in ranges
-    ]
-    results = _run_chunks(_samples_chunk, payloads, max(1, int(workers)))
-    failures = sum(r[2] for r in results)
-    _check_failures(failures, trials)
-    out = {
-        s: np.sort(np.concatenate([r[0][s] for r in results])) for s in schemes
-    }
-    return out, failures
+    parts, failures = _collect(cfg, schemes, streams, None, trials, seed, workers)
+    return {s: np.sort(np.concatenate(parts[s])) for s in schemes}, failures
 
 
 def estimate_outage(cfg, scheme, gamma_th, trials, seed, workers=1):
@@ -303,26 +281,12 @@ def estimate_outage(cfg, scheme, gamma_th, trials, seed, workers=1):
     scheme = Scheme(scheme)
     gamma_th = _validate_threshold(gamma_th)
     trials = _validate_trials(trials)
-    if scheme is Scheme.RisCsi and cfg.ris_elements < cfg.streams:
-        raise ConfigurationError(
-            "cascade-CSI detection needs ris_elements >= streams "
-            f"({cfg.ris_elements} < {cfg.streams})"
-        )
     thr = threshold_at_unit_snr(scheme, cfg, cfg.tx_snr, gamma_th)
-    base = _unit_config(cfg)
-    sizes = _block_plan(trials)
-    ranges = _chunk_ranges(len(sizes), max(1, int(workers)))
-    payloads = [
-        (base, (scheme,), {scheme: thr}, seed.master_seed, lo, sizes[lo:hi])
-        for lo, hi in ranges
-    ]
-    results = _run_chunks(_counts_chunk, payloads, max(1, int(workers)))
-    failures = sum(r[2] for r in results)
-    _check_failures(failures, trials)
-    valid = sum(r[1] for r in results)
-    counts = np.zeros(cfg.streams, dtype=np.int64)
-    for r in results:
-        counts += r[0][scheme]
+    parts, failures = _collect(
+        _unit_config(cfg), (scheme,), None, {scheme: thr}, trials, seed, workers
+    )
+    counts = sum(parts[scheme])
+    valid = trials - failures
     return [
         _estimate_from_count(scheme, i, int(counts[i]), valid, failures)
         for i in range(cfg.streams)
@@ -402,11 +366,6 @@ def run_sweep(
     schemes = canonical_schemes(schemes)
     trials = _validate_trials(trials)
     streams = resolve_streams(cfg, schemes, stream)
-    if Scheme.RisCsi in schemes and cfg.ris_elements < cfg.streams:
-        raise ConfigurationError(
-            "cascade-CSI detection needs ris_elements >= streams "
-            f"({cfg.ris_elements} < {cfg.streams})"
-        )
     if (
         Scheme.Joint in schemes
         and joint_method == analytic.JOINT_PRINTED

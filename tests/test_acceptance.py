@@ -195,7 +195,7 @@ def test_criterion_5_scale_mode_adjudication(banks):
     # (b) the selected mode reproduces the agreement criterion for the two
     # approximation-based schemes where their validity regime is reached
     cfg32 = CONFIGS[(32, 12, 32)]
-    agree = {SCALE_DERIVED: 0.0, SCALE_PAPER: 0.0}
+    agree = {SCALE_DERIVED: -math.inf, SCALE_PAPER: -math.inf}
     for mode in agree:
         for s, stream in ((Scheme.FullCsi, 0), (Scheme.Joint, 11)):
             samples = banks[(32, 12, 32)][s]

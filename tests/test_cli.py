@@ -282,3 +282,22 @@ def test_rate_sweep_via_flags(tmp_path):
         if ln.startswith("# ")
     )
     assert float(echoed["snr_db_fixed"]) == pytest.approx(3.0)
+
+
+def test_json_out_of_range_law_is_null(tmp_path):
+    # N < L leaves the cascade-CSI law undefined; JSON has no NaN token
+    out = tmp_path / "ris.json"
+    status = main([
+        "--n", "8", "--m", "4", "--l", "16", "--snr-db", "0",
+        "--schemes", "ris", "--trials", "1024", "--format", "json",
+        "--output", str(out),
+    ])
+    assert status == EXIT_OK
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    with open(out, encoding="ascii") as fh:
+        doc = json.load(fh, parse_constant=reject)
+    assert [row["analytic_outage"] for row in doc["rows"]] == [None]
+    assert 0.0 <= doc["rows"][0]["mc_outage"] <= 1.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -198,6 +199,51 @@ def test_batch_flags_rank_deficient_trials():
     ref, _ = batch_gammas(batch, cfg, (Scheme.DirectCsi,))
     good = np.arange(6) != 2
     assert np.allclose(gam[Scheme.DirectCsi][good], ref[Scheme.DirectCsi][good])
+
+
+PARITY_CONFIGS = (
+    SystemConfig(5, 3, 4, gain_direct=(0.5, 1.0, 1.5), gain_tx_ris=(2.0, 0.7, 1.1),
+                 gain_ris_rx=1.3),
+    SystemConfig(3, 3, 4),  # N = M: the last pivot has no spare rows
+    SystemConfig(8, 4, 8),
+)
+
+
+@pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=lambda c: "x".join(
+    str(v) for v in (c.rx_antennas, c.streams, c.ris_elements)))
+def test_single_stream_kernels_match_all_stream_columns(cfg):
+    # the one-R-per-scheme path must reproduce the full inverse-Gram and
+    # explicit-Q results stream by stream, for every scheme
+    batch = draw_channel_batch(cfg, SeedSpec(28, 0), 64)
+    full, ok_full = batch_gammas(batch, cfg, ALL)
+    assert ok_full.all()
+    for i in range(cfg.streams):
+        one, ok = batch_gammas(batch, cfg, ALL, dict.fromkeys(ALL, i))
+        assert ok.all()
+        for scheme in ALL:
+            assert one[scheme].shape == (64,)
+            np.testing.assert_allclose(one[scheme], full[scheme][:, i], rtol=1e-12)
+
+
+def test_single_stream_kernels_flag_rank_deficient_trials():
+    cfg = SystemConfig(4, 2, 3)
+    batch = draw_channel_batch(cfg, SeedSpec(26, 0), 6)
+    direct = batch.direct.copy()
+    direct[2, :, 1] = direct[2, :, 0]  # duplicate column in trial 2
+    direct[4, :, 0] = 0.0  # exactly zero pivot in trial 4
+    broken = ChannelBatch(direct=direct, ris_rx=batch.ris_rx,
+                          tx_ris=batch.tx_ris, phases=batch.phases)
+    for scheme in ALL:
+        _, want = batch_gammas(broken, cfg, (scheme,))
+        for i in range(cfg.streams):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                gam, ok = batch_gammas(broken, cfg, (scheme,), {scheme: i})
+            np.testing.assert_array_equal(ok, want)
+            assert np.all(np.isfinite(gam[scheme]))
+        # the direct channel alone is degenerate; the composite ones are not
+        bad = {2, 4} if scheme in (Scheme.DirectCsi, Scheme.Joint) else set()
+        assert set(np.flatnonzero(~ok)) == bad
 
 
 def test_batch_requested_schemes_only():
