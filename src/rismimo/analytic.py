@@ -19,9 +19,9 @@ from .channel import DEFAULT_SCALE_MODE, SCALE_PAPER, clt_psi2
 from .detectors import Scheme, interference_power
 from .errors import ConfigurationError
 from .specfun import (
-    QuadratureSpec,
-    adaptive_quad,
+    adaptive_quad,  # unused here; bench/tracing.py wraps analytic.adaptive_quad
     gamma_expectation_rule,
+    marcum_complement_gamma_average,
     marcum_q1_complement,
     product_gamma_cdf,
     regularized_lower_gamma,
@@ -151,7 +151,6 @@ def outage_joint(
     gamma_th,
     mode=DEFAULT_SCALE_MODE,
     method=DEFAULT_JOINT_METHOD,
-    quad=None,
 ):
     """Unconditional joint-detection outage for stream i.
 
@@ -162,13 +161,15 @@ def outage_joint(
     mode="derived" (method "quadrature"): exact. psi2_i = xi2_H xi2_G,i V
     with V ~ Gamma(L), because q_i is independent of the cascade; the
     outage is the conditional series below averaged over V by a 48-node
-    generalized Gauss-Laguerre rule (`quad` is not used).
+    generalized Gauss-Laguerre rule.
 
     mode="paper": psi2_i is fixed at the 1/L-scaled stand-in value.
-    method="quadrature" integrates the Marcum-Q conditional outage against
-    the density of y = p |r_ii|^2,
-        f(y) = y^{N-i-1} e^{-y/(p xi2_D,i)} / ((N-i-1)! (p xi2_D,i)^{N-i}),
-    and method="printed" evaluates the paper's closed-form series; its
+    method="quadrature" averages the Marcum-Q conditional outage over
+    y = p |r_ii|^2 ~ p xi2_D,i Gamma(N-i) exactly: the average of the
+    Marcum series is a negative-binomial series of positive terms
+    (`specfun.marcum_complement_gamma_average`), and the QUADPACK integral
+    of the conditional outage over y remains its oracle in the tests.
+    method="printed" evaluates the paper's closed-form series; its
     constants hard-code the paper scaling, so it is only accepted with
     mode="paper".
     """
@@ -186,53 +187,14 @@ def outage_joint(
         )
     if mode == SCALE_PAPER:
         if method == JOINT_QUADRATURE:
-            return _joint_quadrature(cfg, i, g, psi2, quad)
+            return marcum_complement_gamma_average(
+                cfg.rx_antennas - i, cfg.gain_direct[i] / psi2, g / (cfg.tx_snr * psi2)
+            )
         return float(_joint_series(cfg, i, g, psi2))
     # the derived psi2_i = xi2_H xi2_G,i L is the mean of xi2_H xi2_G,i V
     v, weights = gamma_expectation_rule(cfg.ris_elements)
     law = _joint_series(cfg, i, g, psi2 * v / cfg.ris_elements)
     return min(max(float(weights @ law), 0.0), 1.0)
-
-
-def _joint_quadrature(cfg, i, gamma_th, psi2, quad):
-    spec = quad if quad is not None else QuadratureSpec()
-    if gamma_th == 0.0:
-        return 0.0
-    p = cfg.tx_snr
-    sigma2 = 0.5 * p * psi2
-    beta = p * cfg.gain_direct[i]
-    n = cfg.rx_antennas - i - 1
-    log_norm = math.lgamma(n + 1) + (n + 1) * math.log(beta)
-    b = math.sqrt(gamma_th / sigma2)
-
-    def integrand(y):
-        if y < 0.0:
-            return 0.0
-        if y == 0.0:
-            log_pdf = -log_norm if n == 0 else -math.inf
-        else:
-            log_pdf = n * math.log(y) - y / beta - log_norm
-        if log_pdf < -745.0:
-            return 0.0
-        cond = marcum_q1_complement(math.sqrt(y / sigma2), b)
-        return cond * math.exp(log_pdf)
-
-    # Finite integration window: past u_pdf the Gamma weight underflows,
-    # past u_cond the conditional term is below 1e-300 by the Gaussian
-    # tail bound 1 - Q1(a, b) <= exp(-(a-b)^2/2) for a > b.  At high
-    # transmit SNR the weight's mode sits far beyond u_cond, and handing
-    # a semi-infinite all-but-zero tail to the quadrature makes it
-    # report spurious divergence, so both cutoffs matter.
-    u_pdf = beta * (n + 1 + 40.0 * math.sqrt(n + 1.0) + 45.0)
-    u_cond = (math.sqrt(gamma_th) + 42.0 * math.sqrt(sigma2)) ** 2
-    upper = min(u_pdf, u_cond)
-    mode_y = n * beta
-    split = mode_y if 0.0 < mode_y < upper else 0.5 * upper
-    total = 0.0
-    for lo, hi in ((0.0, split), (split, upper)):
-        val, _ = adaptive_quad(integrand, lo, hi, spec, "joint outage")
-        total += val
-    return min(max(total, 0.0), 1.0)
 
 
 def _joint_series(cfg, i, gamma_th, psi2):

@@ -111,7 +111,11 @@ def parse_schemes(text):
 
 
 def _parse_int(text):
-    return int(float(text))
+    """An integer literal, parsed exactly: no float round trip, no truncation."""
+    try:
+        return int(str(text).strip())
+    except ValueError:
+        raise ConfigurationError(f"expected an integer, got {text!r}") from None
 
 
 def _parse_bool(text):
@@ -359,6 +363,7 @@ _CONVERTERS = {
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="rismimo",
+        exit_on_error=False,
         description="Outage-probability simulator for a blind-RIS multiuser "
         "MIMO uplink: Monte Carlo plus closed forms for four detectors.",
     )
@@ -430,16 +435,17 @@ def build_manifest(ns, file_values):
     """Resolve precedence (explicit flag > config file > preset > default)
     into a RunManifest."""
 
-    def pick(name):
+    def pick(name, default=None):
         v = getattr(ns, name)
-        return v if v is not None else file_values.get(name)
+        if v is None:
+            v = file_values.get(name)
+        return default if v is None else v
 
     preset_name = pick("preset")
     if preset_name == "fig1":
-        base = preset_fig1(pick("l") if pick("l") is not None else 16)
+        base = preset_fig1(pick("l", 16))
     elif preset_name == "fig2":
-        gd = pick("gain_d")
-        base = preset_fig2(gd if gd is not None else 0.7)
+        base = preset_fig2(pick("gain_d", 0.7))
     elif preset_name is None:
         base = None
     else:
@@ -447,21 +453,21 @@ def build_manifest(ns, file_values):
 
     if base is not None:
         cfg = base.config
-        n = pick("n") or cfg.rx_antennas
-        m = pick("m") or cfg.streams
-        l = pick("l") or cfg.ris_elements
-        gain_d = pick("gain_d") if pick("gain_d") is not None else tuple(cfg.gain_direct)
-        gain_g = pick("gain_g") if pick("gain_g") is not None else tuple(cfg.gain_tx_ris)
-        gain_h = pick("gain_h") if pick("gain_h") is not None else cfg.gain_ris_rx
+        n = pick("n", cfg.rx_antennas)
+        m = pick("m", cfg.streams)
+        l = pick("l", cfg.ris_elements)
+        gain_d = pick("gain_d", tuple(cfg.gain_direct))
+        gain_g = pick("gain_g", tuple(cfg.gain_tx_ris))
+        gain_h = pick("gain_h", cfg.gain_ris_rx)
     else:
         n, m, l = pick("n"), pick("m"), pick("l")
         if None in (n, m, l):
             raise ConfigurationError(
                 "provide --preset, or all of --n, --m and --l"
             )
-        gain_d = pick("gain_d") if pick("gain_d") is not None else 1.0
-        gain_g = pick("gain_g") if pick("gain_g") is not None else 1.0
-        gain_h = pick("gain_h") if pick("gain_h") is not None else 1.0
+        gain_d = pick("gain_d", 1.0)
+        gain_g = pick("gain_g", 1.0)
+        gain_h = pick("gain_h", 1.0)
 
     snr_grid = pick("snr_db")
     rate_grid = pick("rate")
@@ -503,24 +509,20 @@ def build_manifest(ns, file_values):
         gain_ris_rx=gain_h,
     )
 
-    schemes = pick("schemes") or (base.schemes if base else canonical_schemes(Scheme))
-    scale_mode = pick("scale_mode") or (
-        base.scale_mode if base else DEFAULT_SCALE_MODE
-    )
+    schemes = pick("schemes", base.schemes if base else canonical_schemes(Scheme))
+    scale_mode = pick("scale_mode", base.scale_mode if base else DEFAULT_SCALE_MODE)
     if scale_mode not in SCALE_MODES:
         raise ConfigurationError(f"scale_mode must be one of {SCALE_MODES}")
-    joint_method = pick("joint_method") or (
-        base.joint_method if base else DEFAULT_JOINT_METHOD
+    joint_method = pick(
+        "joint_method", base.joint_method if base else DEFAULT_JOINT_METHOD
     )
     if joint_method not in JOINT_METHODS:
         raise ConfigurationError(f"joint_method must be one of {JOINT_METHODS}")
-    fmt = pick("format") or (base.fmt if base else "csv")
-    output = pick("output") or f"outage_{sweep.variable}.{fmt}"
-    trials = pick("trials") or (base.trials if base else DEFAULT_TRIALS)
-    seed = pick("seed")
-    if seed is None:
-        seed = base.master_seed if base else DEFAULT_SEED
-    workers = pick("workers") or 1
+    fmt = pick("format", base.fmt if base else "csv")
+    output = pick("output", f"outage_{sweep.variable}.{fmt}")
+    trials = pick("trials", base.trials if base else DEFAULT_TRIALS)
+    seed = pick("seed", base.master_seed if base else DEFAULT_SEED)
+    workers = pick("workers", 1)
     stream = pick("stream")
 
     return RunManifest(
@@ -540,8 +542,8 @@ def build_manifest(ns, file_values):
 
 def main(argv=None):
     ap = _build_parser()
-    ns = ap.parse_args(argv)
     try:
+        ns = ap.parse_args(argv)
         file_values = _read_config_file(ns.config) if ns.config else {}
         if ns.overhead_report or file_values.get("overhead_report"):
             cfg = build_manifest(ns, file_values).config
@@ -553,7 +555,7 @@ def main(argv=None):
             )
             return EXIT_OK
         manifest = build_manifest(ns, file_values)
-    except ConfigurationError as exc:
+    except (ConfigurationError, argparse.ArgumentError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

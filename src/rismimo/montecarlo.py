@@ -212,7 +212,9 @@ def _chunk(payload):
 def _collect(cfg, schemes, streams, thresholds, trials, seed, workers):
     """All trial blocks through `_chunk` on ``workers`` processes:
     ({scheme: block results in index order}, failures)."""
-    workers = max(1, int(workers))
+    workers = int(workers)
+    if workers < 1:
+        raise ConfigurationError(f"workers must be >= 1, got {workers}")
     sizes = _block_plan(trials)
     payloads = [
         (cfg, schemes, streams, thresholds, seed.master_seed, lo, sizes[lo:hi])
@@ -329,7 +331,7 @@ def analytic_outage(
     if scheme is Scheme.FullCsi:
         return analytic.outage_full_clt(cfg, stream, gamma_th, mode=scale_mode)
     return analytic.outage_joint(
-        cfg, stream, gamma_th, mode=scale_mode, method=joint_method, quad=quad
+        cfg, stream, gamma_th, mode=scale_mode, method=joint_method
     )
 
 
@@ -375,21 +377,14 @@ def run_sweep(
             "the printed closed form is only meaningful with scale_mode='paper'"
         )
 
-    base = _unit_config(cfg)
-    samples, failures = snr_samples(base, schemes, trials, seed, streams, workers)
-    valid = next(iter(samples.values())).size
-
-    points = []
+    # Closed forms first, so a failing quadrature stops the run before the
+    # Monte Carlo work instead of after it.
+    laws = []
     for value in sweep.values:
         cfg_point = _point_config(cfg, sweep.variable, value)
         gamma_th = threshold_from_rate(cfg_point.rate)
-        snr_db = value if sweep.variable == "snr_db" else 10.0 * math.log10(cfg.tx_snr)
         ana = {}
-        emp = {}
         for s in schemes:
-            thr = threshold_at_unit_snr(s, cfg_point, cfg_point.tx_snr, gamma_th)
-            count = int(np.searchsorted(samples[s], thr, side="left"))
-            emp[s] = _estimate_from_count(s, streams[s], count, valid, failures)
             try:
                 ana[s] = analytic_outage(
                     s, cfg_point, streams[s], gamma_th,
@@ -399,6 +394,20 @@ def run_sweep(
                 if s is not Scheme.RisCsi:
                     raise
                 ana[s] = math.nan
+        laws.append((value, cfg_point, gamma_th, ana))
+
+    base = _unit_config(cfg)
+    samples, failures = snr_samples(base, schemes, trials, seed, streams, workers)
+    valid = next(iter(samples.values())).size
+
+    points = []
+    for value, cfg_point, gamma_th, ana in laws:
+        snr_db = value if sweep.variable == "snr_db" else 10.0 * math.log10(cfg.tx_snr)
+        emp = {}
+        for s in schemes:
+            thr = threshold_at_unit_snr(s, cfg_point, cfg_point.tx_snr, gamma_th)
+            count = int(np.searchsorted(samples[s], thr, side="left"))
+            emp[s] = _estimate_from_count(s, streams[s], count, valid, failures)
         points.append(
             CurvePoint(
                 sweep_value=float(value),

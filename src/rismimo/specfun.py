@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
+from scipy.special import gammainc, gammainccinv, gammaln
 
 from .errors import ConfigurationError, NumericError
 
-_EULER_GAMMA = 0.5772156649015328606
-_LN2 = math.log(2.0)
+# Longest k-grid marcum_complement_gamma_average may build: 8 MB per array.
+_MAX_SERIES_TERMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,43 @@ def marcum_q1_complement(a, b):
     return _marcum_parts(a, b)[1]
 
 
+def marcum_complement_gamma_average(n, w, x):
+    """E[1 - Q1(sqrt(2 w G), sqrt(2 x))] for G ~ Gamma(n, 1), integer n >= 1.
+
+    In the Marcum series 1 - Q1(a, b) = sum_k Pois(k; a^2/2) P(k+1, b^2/2)
+    only the Poisson weight depends on a, and its average over a^2/2 = w G
+    is the negative-binomial weight NB(k; n, w/(1+w)):
+        sum_k C(n+k-1, k) (1+w)^{-n} (w/(1+w))^k P(k+1, x).
+    Every term is positive, so the tail does not cancel. The weights are
+    formed in log space. The k-grid ends 14 standard deviations plus 60
+    terms past the mean of Pois(w g*), where P(G > g*) = 1e-16: the weight
+    beyond it is at most P(G > g*) plus that Poisson tail. (A grid 14
+    negative-binomial standard deviations past the mean leaves 3e-8 of
+    the weight out at n = 1, w = 25.) A grid longer than _MAX_SERIES_TERMS
+    raises NumericError before anything is allocated.
+    """
+    _check_count(n, "gamma shape")
+    w = float(w)
+    x = float(x)
+    if not (w > 0) or not math.isfinite(w):
+        raise ConfigurationError(f"weight ratio must be finite and > 0, got {w}")
+    if x < 0 or not math.isfinite(x):
+        raise ConfigurationError(f"argument must be finite and >= 0, got {x}")
+    if x == 0.0:
+        return 0.0
+    rate = w * float(gammainccinv(n, 1e-16))
+    kmax = rate + 14.0 * math.sqrt(rate) + 60.0
+    if not kmax < _MAX_SERIES_TERMS:
+        raise NumericError(
+            f"negative-binomial series needs {kmax:.3g} terms "
+            f"(n={n}, w={w:.3g}); the cap is {_MAX_SERIES_TERMS}"
+        )
+    k = np.arange(int(kmax) + 1, dtype=np.float64)
+    log_nb = (gammaln(n + k) - gammaln(k + 1.0) - math.lgamma(n)
+              - n * math.log1p(w) - k * math.log1p(1.0 / w))
+    return min(float(np.exp(log_nb) @ gammainc(k + 1.0, x)), 1.0)
+
+
 def _kummer_poly(a, x):
     """1F1(2-a; 2; -x) for integer a >= 2: a terminating series.
 
@@ -180,113 +217,6 @@ def kummer_1f1_c2(a, x):
             return 1.0
         return math.expm1(x) / x
     return math.exp(x) * _kummer_poly(a, x)
-
-
-def bessel_k_int(nu, x):
-    """Modified Bessel function K_nu(x) for integer order, x > 0.
-
-    Uses the ascending series near the origin (x < 2) and trapezoidal
-    evaluation of K_nu(x) = int_0^inf exp(-x cosh t) cosh(nu t) dt
-    elsewhere; the integrand decays doubly exponentially and is even in t,
-    so the trapezoid rule converges geometrically under halving. K is even
-    in its order, so signed orders are folded.
-    """
-    if not isinstance(nu, (int, np.integer)) or isinstance(nu, bool):
-        raise ConfigurationError(f"order must be an integer, got {nu!r}")
-    n = abs(int(nu))
-    x = float(x)
-    if not (x > 0) or not math.isfinite(x):
-        raise ConfigurationError(f"argument must be finite and > 0, got {x}")
-    if x < 2.0:
-        return _bessel_k_series(n, x)
-    return _bessel_k_integral(n, x)
-
-
-def _bessel_k_series(n, x):
-    """Ascending series for K_n, valid and fast for x < 2.
-
-    K_n(x) = (1/2)(x/2)^{-n} sum_{k<n} ((n-1-k)!/k!)(-x^2/4)^k
-             + (-1)^{n+1} ln(x/2) I_n(x)
-             + (-1)^n (1/2)(x/2)^n sum_{k>=0} [psi(k+1)+psi(n+k+1)] frame_k
-    with frame_k = (x^2/4)^k / (k! (n+k)!).
-    """
-    xh = 0.5 * x
-    q = xh * xh
-    sgn_n = 1.0 if n % 2 == 0 else -1.0
-
-    finite = 0.0
-    if n > 0:
-        try:
-            lead = 0.5 * math.exp(-n * math.log(xh))
-        except OverflowError:
-            raise OverflowError(
-                f"K_{n}({x}) exceeds the representable range near the origin"
-            ) from None
-        if math.isinf(lead):
-            raise OverflowError(
-                f"K_{n}({x}) exceeds the representable range near the origin"
-            )
-        total = 0.0
-        for k in range(n):
-            total += math.factorial(n - 1 - k) / math.factorial(k) * (-q) ** k
-        finite = lead * total
-        if math.isinf(finite):
-            raise OverflowError(
-                f"K_{n}({x}) exceeds the representable range near the origin"
-            )
-
-    # I_n(x) and the digamma-weighted series share the frame q^k/(k!(n+k)!);
-    # psi(m+1) = -gamma + H_m turns the psi weights into harmonic numbers.
-    bessel_i = 0.0
-    psi_series = 0.0
-    harmonic_k = 0.0
-    harmonic_nk = sum(1.0 / j for j in range(1, n + 1))
-    frame = 1.0 / math.factorial(n)
-    k = 0
-    while True:
-        bessel_i += frame
-        psi_series += (harmonic_k + harmonic_nk - 2.0 * _EULER_GAMMA) * frame
-        k += 1
-        harmonic_k += 1.0 / k
-        harmonic_nk += 1.0 / (n + k)
-        frame *= q / (k * (n + k))
-        if frame < 1e-19 * max(bessel_i, 1e-300):
-            break
-    xh_pow = math.exp(n * math.log(xh)) if n else 1.0
-    bessel_i *= xh_pow
-
-    result = finite - sgn_n * math.log(xh) * bessel_i + sgn_n * 0.5 * xh_pow * psi_series
-    if math.isinf(result):
-        raise OverflowError(
-            f"K_{n}({x}) exceeds the representable range near the origin"
-        )
-    return result
-
-
-def _bessel_k_integral(n, x):
-    t_max = 1.0
-    while -x * math.cosh(t_max) + n * t_max > -760.0:
-        t_max += 0.5
-
-    def f(t):
-        expo = -x * math.cosh(t)
-        if n:
-            nt = n * t
-            expo += nt - _LN2 + math.log1p(math.exp(-2.0 * nt))
-            return math.exp(expo)
-        return math.exp(expo)
-
-    steps = 64
-    h = t_max / steps
-    total = h * (0.5 * f(0.0) + sum(f(i * h) for i in range(1, steps + 1)))
-    for _ in range(8):
-        h *= 0.5
-        steps *= 2
-        refined = 0.5 * total + h * sum(f(i * h) for i in range(1, steps + 1, 2))
-        if abs(refined - total) <= 1e-15 * max(abs(refined), 1e-300):
-            return refined
-        total = refined
-    return total
 
 
 def adaptive_quad(f, lo, hi, spec, label):

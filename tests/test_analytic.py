@@ -25,9 +25,11 @@ from rismimo.channel import (
     clt_psi2,
     draw_channel_batch,
 )
-from rismimo.detectors import Scheme, batch_gammas
-from rismimo.errors import ConfigurationError
+from rismimo.cli import preset_fig1, preset_fig2
+from rismimo.detectors import Scheme, batch_gammas, threshold_from_rate
+from rismimo.errors import ConfigurationError, NumericError
 from rismimo.montecarlo import estimate_outage
+from rismimo.specfun import QuadratureSpec, adaptive_quad, marcum_q1_complement
 
 
 def _mc_outage(cfg, scheme, gamma_th, trials, seed, stream=0):
@@ -142,6 +144,92 @@ def test_joint_printed_agrees_with_quadrature():
         a = outage_joint(cfg, 1, g, mode=SCALE_PAPER, method=JOINT_PRINTED)
         b = outage_joint(cfg, 1, g, mode=SCALE_PAPER, method=JOINT_QUADRATURE)
         assert a == pytest.approx(b, abs=1e-9), g
+
+
+def _joint_paper_by_quadrature(cfg, i, gamma_th):
+    """Paper-mode joint outage as a QUADPACK integral of the Marcum-Q
+    conditional outage against the density of y = p |r_ii|^2,
+        f(y) = y^{N-i-1} e^{-y/(p xi2_D,i)} / ((N-i-1)! (p xi2_D,i)^{N-i})."""
+    spec = QuadratureSpec()
+    p = cfg.tx_snr
+    sigma2 = 0.5 * p * clt_psi2(cfg, SCALE_PAPER)[i]
+    beta = p * cfg.gain_direct[i]
+    n = cfg.rx_antennas - i - 1
+    log_norm = math.lgamma(n + 1) + (n + 1) * math.log(beta)
+    b = math.sqrt(gamma_th / sigma2)
+
+    def integrand(y):
+        if y < 0.0:
+            return 0.0
+        if y == 0.0:
+            log_pdf = -log_norm if n == 0 else -math.inf
+        else:
+            log_pdf = n * math.log(y) - y / beta - log_norm
+        if log_pdf < -745.0:
+            return 0.0
+        return marcum_q1_complement(math.sqrt(y / sigma2), b) * math.exp(log_pdf)
+
+    # Finite window: past u_pdf the Gamma weight underflows, past u_cond
+    # the conditional term is below 1e-300 by the Gaussian tail bound
+    # 1 - Q1(a, b) <= exp(-(a-b)^2/2) for a > b. A semi-infinite all-but-
+    # zero tail makes QUADPACK report spurious divergence at high SNR.
+    u_pdf = beta * (n + 1 + 40.0 * math.sqrt(n + 1.0) + 45.0)
+    u_cond = (math.sqrt(gamma_th) + 42.0 * math.sqrt(sigma2)) ** 2
+    upper = min(u_pdf, u_cond)
+    mode_y = n * beta
+    split = mode_y if 0.0 < mode_y < upper else 0.5 * upper
+    total = 0.0
+    for lo, hi in ((0.0, split), (split, upper)):
+        total += adaptive_quad(integrand, lo, hi, spec, "joint outage oracle")[0]
+    return min(max(total, 0.0), 1.0)
+
+
+def _figure_points(manifest):
+    """(config, gamma_th) at every grid point of a figure preset."""
+    for value in manifest.sweep.values:
+        if manifest.sweep.variable == "snr_db":
+            cfg = dataclasses.replace(manifest.config, tx_snr=10.0 ** (value / 10.0))
+        else:
+            cfg = dataclasses.replace(manifest.config, rate=value)
+        yield cfg, threshold_from_rate(cfg.rate)
+
+
+def test_joint_paper_series_matches_quadrature_on_figure_grids():
+    for manifest in (preset_fig1(16), preset_fig1(32), preset_fig2()):
+        for cfg, g in _figure_points(manifest):
+            for i in (0, cfg.streams - 1):
+                got = outage_joint(cfg, i, g, mode=SCALE_PAPER, method=JOINT_QUADRATURE)
+                want = _joint_paper_by_quadrature(cfg, i, g)
+                assert abs(got - want) <= 1e-10, (cfg, i, got, want)
+
+
+def test_joint_paper_series_deep_tail_matches_printed():
+    # at +40 dB the first stream's outage is far below what an absolute
+    # bound can see, so the check is relative
+    cfg = SystemConfig(32, 12, 16, tx_snr=1e4)
+    got = [outage_joint(cfg, i, 7.0, mode=SCALE_PAPER, method=JOINT_QUADRATURE)
+           for i in (0, cfg.streams - 1)]
+    want = [outage_joint(cfg, i, 7.0, mode=SCALE_PAPER, method=JOINT_PRINTED)
+            for i in (0, cfg.streams - 1)]
+    assert got == pytest.approx(want, rel=1e-9)
+    assert got[0] < 1e-30
+
+
+def test_joint_paper_series_at_huge_threshold_and_low_power():
+    # (64, 4, 1), -40 dB, rate 20: x = gamma_th / (p psi2) is ~1e10
+    cfg = SystemConfig(64, 4, 1, tx_snr=1e-4, rate=20.0)
+    g = threshold_from_rate(cfg.rate)
+    for i in (0, cfg.streams - 1):
+        got = outage_joint(cfg, i, g, mode=SCALE_PAPER, method=JOINT_QUADRATURE)
+        want = outage_joint(cfg, i, g, mode=SCALE_PAPER, method=JOINT_PRINTED)
+        assert math.isfinite(got)
+        assert got == pytest.approx(want, rel=1e-9), i
+
+
+def test_joint_paper_series_refuses_overlong_grid():
+    cfg = SystemConfig(32, 12, 16, gain_direct=1e9)
+    with pytest.raises(NumericError):
+        outage_joint(cfg, 0, 7.0, mode=SCALE_PAPER, method=JOINT_QUADRATURE)
 
 
 def test_joint_printed_requires_paper_scaling():

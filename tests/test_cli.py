@@ -198,6 +198,33 @@ def test_exit_code_for_bad_configuration(tmp_path, capsys):
     assert "configuration error" in err
 
 
+def test_integer_flags_reject_non_integers(tmp_path, capsys):
+    for flag, value in (("--trials", "2.7"), ("--seed", "1e3"), ("--n", "six"),
+                        ("--workers", "1.0")):
+        status, out = _run_small(tmp_path, "bad.csv", (flag, value))
+        assert status == EXIT_CONFIG, flag
+        assert not out.exists()
+    cfgfile = tmp_path / "bad.conf"
+    cfgfile.write_text("trials = 2.7\n")
+    assert main(["--config", str(cfgfile)]) == EXIT_CONFIG
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_zero_trials_and_workers_are_rejected(tmp_path, capsys):
+    for flag in ("--trials", "--workers"):
+        status, out = _run_small(tmp_path, "zero.csv", (flag, "0"))
+        assert status == EXIT_CONFIG, flag
+        assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_seed_beyond_float_precision_is_kept_exactly(tmp_path):
+    # 2^53 + 1 has no float representation; a float round trip gives 2^53
+    status, out = _run_small(tmp_path, "seed.csv", ("--seed", "9007199254740993"))
+    assert status == EXIT_OK
+    assert "# seed = 9007199254740993" in out.read_text().split("\n")
+
+
 def test_exit_code_for_unwritable_output(tmp_path, capsys):
     status, _ = _run_small(tmp_path, "ignored.csv",
                            ("--output", str(tmp_path / "no" / "dir" / "x.csv")))

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from rismimo import analytic, montecarlo
 from rismimo.analytic import outage_direct, outage_full_clt, outage_ris
 from rismimo.channel import SeedSpec, SystemConfig, draw_channel_batch
 from rismimo.detectors import Scheme, batch_gammas
-from rismimo.errors import ConfigurationError, NumericalRankError
+from rismimo.errors import ConfigurationError, NumericalRankError, NumericError
 from rismimo.montecarlo import (
     SweepSpec,
     _check_failures,
@@ -245,6 +246,13 @@ def test_sweep_validates_inputs():
     with pytest.raises(ConfigurationError):
         run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), (Scheme.Joint,), 100,
                   SeedSpec(83, 0), joint_method="printed", scale_mode="derived")
+    for workers in (0, -2):
+        with pytest.raises(ConfigurationError):
+            run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), (Scheme.FullCsi,), 100,
+                      SeedSpec(83, 0), workers=workers)
+        with pytest.raises(ConfigurationError):
+            estimate_outage(SMALL, Scheme.FullCsi, 1.0, 100, SeedSpec(83, 0),
+                            workers=workers)
 
 
 def test_sweep_ris_analytic_nan_outside_closed_form_range():
@@ -256,6 +264,28 @@ def test_sweep_ris_analytic_nan_outside_closed_form_range():
     point = curve.points[0]
     assert math.isnan(point.analytic[Scheme.RisCsi])
     assert 0.0 <= point.empirical[Scheme.RisCsi].probability <= 1.0
+
+
+def test_sweep_law_failure_stops_before_sampling(monkeypatch):
+    # the law fails only at the last grid point, so every analytic value
+    # has to be in hand before the first Monte Carlo block is drawn
+    def failing_law(cfg, i, gamma_th, quad=None):
+        if cfg.tx_snr > 5.0:
+            raise NumericError("law did not converge")
+        return outage_ris(cfg, i, gamma_th, quad)
+
+    sampled = []
+
+    def recording_samples(*args, **kwargs):
+        sampled.append(args)
+        raise AssertionError("sampling started before the analytic column")
+
+    monkeypatch.setattr(analytic, "outage_ris", failing_law)
+    monkeypatch.setattr(montecarlo, "snr_samples", recording_samples)
+    with pytest.raises(NumericError):
+        run_sweep(SMALL, SweepSpec("snr_db", (0.0, 5.0, 10.0)),
+                  (Scheme.DirectCsi, Scheme.RisCsi), 1_000, SeedSpec(86, 0))
+    assert sampled == []
 
 
 def test_curve_metadata():

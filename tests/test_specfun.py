@@ -8,6 +8,7 @@ itself.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from rismimo.errors import ConfigurationError, NumericError
 from rismimo.specfun import (
     QuadratureSpec,
     adaptive_quad,
-    bessel_k_int,
     gamma_expectation_rule,
     kummer_1f1_c2,
+    marcum_complement_gamma_average,
     marcum_q1,
     marcum_q1_complement,
     product_gamma_cdf,
@@ -133,6 +134,57 @@ def test_marcum_edge_values():
     assert marcum_q1(0.0, 2.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
 
+# --- Marcum Q complement averaged over a gamma noncentrality ---------------
+
+def _gamma_averaged_marcum_oracle(n, w, x):
+    # E[P(chi'^2_2(2 w G) <= 2 x)], G ~ Gamma(n): library noncentral
+    # chi-square CDF integrated against the gamma density
+    def f(g):
+        return float(stats.ncx2.cdf(2.0 * x, 2, 2.0 * w * g)) * stats.gamma.pdf(g, n)
+
+    lo, hi = stats.gamma.ppf([1e-16, 1.0 - 1e-16], n)
+    val, _ = integrate.quad(f, lo, hi, epsabs=1e-15, epsrel=1e-12, limit=400)
+    return val
+
+
+def test_gamma_averaged_marcum_against_ncx2_quadrature():
+    for n, w, x in ((1, 0.5, 2.0), (3, 2.0, 1.0), (5, 16.0, 40.0),
+                    (12, 0.05, 0.3), (21, 4.0, 150.0)):
+        want = _gamma_averaged_marcum_oracle(n, w, x)
+        got = marcum_complement_gamma_average(n, w, x)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-13), (n, w, x)
+
+
+def test_gamma_averaged_marcum_rayleigh_closed_form():
+    # n = 1: the coherent part is CN itself, so gamma is exponential with
+    # mean 1 + w in units of the noncoherent variance
+    for w in (1e-3, 0.7, 25.0, 3e3):
+        for x in (1e-12, 0.2, 5.0, 400.0):
+            want = -math.expm1(-x / (1.0 + w))
+            assert marcum_complement_gamma_average(1, w, x) == pytest.approx(
+                want, rel=1e-12), (w, x)
+
+
+def test_gamma_averaged_marcum_edges_and_validation():
+    assert marcum_complement_gamma_average(4, 2.0, 0.0) == 0.0
+    assert marcum_complement_gamma_average(4, 2.0, 1e6) == 1.0
+    for bad in ((0, 1.0, 1.0), (2, 0.0, 1.0), (2, math.inf, 1.0), (2, 1.0, -1.0)):
+        with pytest.raises(ConfigurationError):
+            marcum_complement_gamma_average(*bad)
+
+
+def test_gamma_averaged_marcum_grid_cap_raises_before_allocating():
+    # a k-grid of ~1e11 terms is refused up front, not attempted
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericError):
+            marcum_complement_gamma_average(32, 1e9, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # --- Kummer 1F1(a; 2; x) ------------------------------------------------------
 
 def test_kummer_identities():
@@ -162,28 +214,6 @@ def test_gamma_expectation_rule_moments():
             assert w @ v**k == pytest.approx(want, rel=1e-11), (shape, k)
     with pytest.raises(ConfigurationError):
         gamma_expectation_rule(0)
-
-
-# --- modified Bessel K of integer order --------------------------------------
-
-def test_bessel_k_against_scipy():
-    for nu in (0, 1, 2, 5, -3):
-        for x in (0.05, 0.4, 1.9, 2.1, 7.0, 30.0):
-            assert bessel_k_int(nu, x) == pytest.approx(
-                float(special.kn(abs(nu), x)), rel=1e-10
-            )
-
-
-def test_bessel_k_near_origin_overflow():
-    # K_2(x) ~ (2/x)^2 / 2 blows past the double range long before x
-    # underflows; the guard turns that into a clean OverflowError
-    with pytest.raises(OverflowError):
-        bessel_k_int(2, 1e-200)
-
-
-def test_bessel_k_rejects_nonpositive_argument():
-    with pytest.raises(ConfigurationError):
-        bessel_k_int(0, 0.0)
 
 
 # --- adaptive quadrature wrapper ---------------------------------------------
