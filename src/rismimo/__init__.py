@@ -5,135 +5,3 @@ under four zero-forcing detection regimes: direct-link CSI only,
 cascade-link CSI only, full composite CSI, and QR-based joint
 coherent/noncoherent detection.
 """
-
-from .errors import ConfigurationError, NumericalRankError, NumericError
-from .channel import (
-    DEFAULT_SCALE_MODE,
-    SCALE_DERIVED,
-    SCALE_MODES,
-    SCALE_PAPER,
-    ChannelBatch,
-    ChannelRealization,
-    CltSurrogate,
-    SeedSpec,
-    SystemConfig,
-    clt_psi2,
-    clt_surrogate,
-    composite_batch,
-    composite_channel,
-    draw_channel_batch,
-    draw_channels,
-)
-from .detectors import (
-    Scheme,
-    SnrSample,
-    batch_gammas,
-    floor_direct,
-    floor_ris,
-    snr_direct,
-    snr_full,
-    snr_joint,
-    snr_ris,
-    threshold_from_rate,
-)
-from .analytic import (
-    DEFAULT_JOINT_METHOD,
-    JOINT_METHODS,
-    JOINT_PRINTED,
-    JOINT_QUADRATURE,
-    outage_direct,
-    outage_direct_limit,
-    outage_full_clt,
-    outage_joint,
-    outage_joint_conditional,
-    outage_ris,
-    outage_ris_limit,
-)
-from .specfun import (
-    QuadratureSpec,
-    kummer_1f1_c2,
-    marcum_q1,
-    marcum_q1_complement,
-    product_gamma_cdf,
-    regularized_lower_gamma,
-    regularized_upper_gamma,
-)
-from .montecarlo import (
-    OutageCurve,
-    OutageEstimate,
-    SweepSpec,
-    analytic_outage,
-    estimate_outage,
-    run_sweep,
-    snr_samples,
-    wilson_interval,
-)
-from .cli import (
-    RunManifest,
-    preset_fig1,
-    preset_fig2,
-    report_pilot_overhead,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ChannelBatch",
-    "ChannelRealization",
-    "CltSurrogate",
-    "ConfigurationError",
-    "DEFAULT_JOINT_METHOD",
-    "DEFAULT_SCALE_MODE",
-    "JOINT_METHODS",
-    "JOINT_PRINTED",
-    "JOINT_QUADRATURE",
-    "NumericError",
-    "NumericalRankError",
-    "OutageCurve",
-    "OutageEstimate",
-    "QuadratureSpec",
-    "RunManifest",
-    "SCALE_DERIVED",
-    "SCALE_MODES",
-    "SCALE_PAPER",
-    "Scheme",
-    "SeedSpec",
-    "SnrSample",
-    "SweepSpec",
-    "SystemConfig",
-    "analytic_outage",
-    "batch_gammas",
-    "clt_psi2",
-    "clt_surrogate",
-    "composite_batch",
-    "composite_channel",
-    "draw_channel_batch",
-    "draw_channels",
-    "estimate_outage",
-    "floor_direct",
-    "floor_ris",
-    "kummer_1f1_c2",
-    "marcum_q1",
-    "marcum_q1_complement",
-    "outage_direct",
-    "outage_direct_limit",
-    "outage_full_clt",
-    "outage_joint",
-    "outage_joint_conditional",
-    "outage_ris",
-    "outage_ris_limit",
-    "preset_fig1",
-    "preset_fig2",
-    "product_gamma_cdf",
-    "regularized_lower_gamma",
-    "regularized_upper_gamma",
-    "report_pilot_overhead",
-    "run_sweep",
-    "snr_direct",
-    "snr_full",
-    "snr_joint",
-    "snr_ris",
-    "snr_samples",
-    "threshold_from_rate",
-    "wilson_interval",
-]

@@ -125,16 +125,6 @@ def _generator(seed, domain):
 
 
 @dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One draw of all fading blocks (2-D arrays, no batch axis)."""
-
-    direct: np.ndarray    # (N, M)
-    ris_rx: np.ndarray    # (N, L)
-    tx_ris: np.ndarray    # (L, M)
-    phases: np.ndarray    # (L,)
-
-
-@dataclass(frozen=True, eq=False)
 class ChannelBatch:
     """A stack of independent realizations (leading axis = trial)."""
 
@@ -142,11 +132,6 @@ class ChannelBatch:
     ris_rx: np.ndarray    # (count, N, L)
     tx_ris: np.ndarray    # (count, L, M)
     phases: np.ndarray    # (count, L)
-
-    def realization(self, t):
-        return ChannelRealization(
-            self.direct[t], self.ris_rx[t], self.tx_ris[t], self.phases[t]
-        )
 
 
 def uniforms_per_trial(cfg):
@@ -191,21 +176,14 @@ def draw_channel_batch(cfg, seed, count):
     return ChannelBatch(direct, ris_rx, tx_ris, phases)
 
 
-def draw_channels(cfg, seed):
-    """One realization for (cfg, seed); trial 0 of the seed's substream."""
-    return draw_channel_batch(cfg, seed, 1).realization(0)
-
-
-def composite_channel(real):
-    """Effective channel H_d + H diag(e^{j phi}) G of one realization."""
-    return real.direct + (real.ris_rx * np.exp(1j * real.phases)[np.newaxis, :]) @ real.tx_ris
+def cascade_batch(batch):
+    """Batched cascade H diag(e^{j phi}) G, (count, N, M)."""
+    return (batch.ris_rx * np.exp(1j * batch.phases)[:, np.newaxis, :]) @ batch.tx_ris
 
 
 def composite_batch(batch):
-    """Batched composite channel, (count, N, M)."""
-    return batch.direct + (
-        batch.ris_rx * np.exp(1j * batch.phases)[:, np.newaxis, :]
-    ) @ batch.tx_ris
+    """Batched composite channel H_d + H diag(e^{j phi}) G, (count, N, M)."""
+    return batch.direct + cascade_batch(batch)
 
 
 def clt_psi2(cfg, mode):
@@ -230,8 +208,8 @@ class CltSurrogate:
 def clt_surrogate(cfg, seed, mode=DEFAULT_SCALE_MODE):
     """Draw the Gaussian surrogate of the cascade for (cfg, seed).
 
-    Uses a draw domain distinct from draw_channels, so surrogate and exact
-    channels from the same seed are independent.
+    Uses a draw domain distinct from draw_channel_batch, so surrogate and
+    exact channels from the same seed are independent.
     """
     psi2 = clt_psi2(cfg, mode)
     n, m = cfg.rx_antennas, cfg.streams

@@ -14,7 +14,7 @@ import math
 import sys
 
 from .channel import DEFAULT_SCALE_MODE, SCALE_MODES, SeedSpec, SystemConfig
-from .detectors import Scheme, threshold_from_rate
+from .detectors import Scheme
 from .errors import ConfigurationError, NumericalRankError, NumericError
 from .analytic import DEFAULT_JOINT_METHOD, JOINT_METHODS
 from .montecarlo import (
@@ -84,8 +84,10 @@ def parse_grid(text):
     parts = str(text).split(":")
     try:
         nums = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigurationError(f"bad grid {text!r}: {exc}") from None
+    except ValueError:
+        raise ConfigurationError(
+            f"expected a number or 'start:stop:step' numbers, got {text!r}"
+        ) from None
     if len(nums) == 1:
         return (nums[0],)
     if len(nums) == 3:
@@ -98,8 +100,10 @@ def parse_gains(text):
     parts = str(text).split(",")
     try:
         vals = [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigurationError(f"bad gain list {text!r}: {exc}") from None
+    except ValueError:
+        raise ConfigurationError(
+            f"expected a number or a comma list of numbers, got {text!r}"
+        ) from None
     return vals[0] if len(vals) == 1 else tuple(vals)
 
 
@@ -187,10 +191,6 @@ def pilot_overhead_counts(n, m, l):
     if min(n, m) < 1 or l < 0:
         raise ConfigurationError("pilot counts need n, m >= 1 and l >= 0")
     return n * l * m + n * m, n * m
-
-
-def report_pilot_overhead(cfg):
-    return pilot_overhead_counts(cfg.rx_antennas, cfg.streams, cfg.ris_elements)
 
 
 def _fmt(value, column):
@@ -360,7 +360,23 @@ _CONVERTERS = {
 }
 
 
+def _flag_type(convert):
+    """A converter as an argparse type. argparse prints the text of an
+    ArgumentTypeError but replaces a ValueError's with the type's name."""
+
+    def parse(text):
+        try:
+            return convert(text)
+        except ConfigurationError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
 def _build_parser():
+    as_int, as_grid, as_gains, as_schemes = map(
+        _flag_type, (_parse_int, parse_grid, parse_gains, parse_schemes)
+    )
     ap = argparse.ArgumentParser(
         prog="rismimo",
         exit_on_error=False,
@@ -369,37 +385,37 @@ def _build_parser():
     )
     ap.add_argument("--preset", choices=("fig1", "fig2"), default=None,
                     help="named scenario; individual flags override its fields")
-    ap.add_argument("--n", type=_parse_int, default=None, help="receive antennas")
-    ap.add_argument("--m", type=_parse_int, default=None, help="transmit streams")
-    ap.add_argument("--l", type=_parse_int, default=None, help="surface elements")
-    ap.add_argument("--snr-db", type=parse_grid, default=None, metavar="START:STOP:STEP",
+    ap.add_argument("--n", type=as_int, default=None, help="receive antennas")
+    ap.add_argument("--m", type=as_int, default=None, help="transmit streams")
+    ap.add_argument("--l", type=as_int, default=None, help="surface elements")
+    ap.add_argument("--snr-db", type=as_grid, default=None, metavar="START:STOP:STEP",
                     help="sweep transmit SNR in dB (inclusive grid, or one value)")
-    ap.add_argument("--rate", type=parse_grid, default=None, metavar="START:STOP:STEP",
+    ap.add_argument("--rate", type=as_grid, default=None, metavar="START:STOP:STEP",
                     help="sweep target rate in bit/s/Hz")
     ap.add_argument("--rate-fixed", type=float, default=None,
                     help="rate held fixed during an SNR sweep (default 3)")
     ap.add_argument("--snr-db-fixed", type=float, default=None,
                     help="transmit SNR in dB held fixed during a rate sweep (default 0)")
-    ap.add_argument("--gain-d", type=parse_gains, default=None,
+    ap.add_argument("--gain-d", type=as_gains, default=None,
                     help="direct-link variance, scalar or per-stream comma list")
-    ap.add_argument("--gain-g", type=parse_gains, default=None,
+    ap.add_argument("--gain-g", type=as_gains, default=None,
                     help="transmitter-to-surface variance, scalar or per-stream comma list")
     ap.add_argument("--gain-h", type=float, default=None,
                     help="surface-to-receiver variance (scalar)")
-    ap.add_argument("--schemes", type=parse_schemes, default=None,
+    ap.add_argument("--schemes", type=as_schemes, default=None,
                     help="comma list out of d,ris,full,joint (default: all)")
-    ap.add_argument("--trials", type=_parse_int, default=None,
+    ap.add_argument("--trials", type=as_int, default=None,
                     help=f"Monte Carlo trials per sweep (default {DEFAULT_TRIALS})")
-    ap.add_argument("--seed", type=_parse_int, default=None,
+    ap.add_argument("--seed", type=as_int, default=None,
                     help=f"master seed (default {DEFAULT_SEED})")
     ap.add_argument("--scale-mode", choices=SCALE_MODES, default=None,
                     help=f"cascade surrogate variance convention (default {DEFAULT_SCALE_MODE})")
     ap.add_argument("--joint-method", choices=JOINT_METHODS, default=None,
                     help=f"joint-detector outage evaluation (default {DEFAULT_JOINT_METHOD})")
-    ap.add_argument("--stream", type=_parse_int, default=None,
+    ap.add_argument("--stream", type=as_int, default=None,
                     help="report this stream for every scheme "
                     "(default: 0, and the last stream for the joint detector)")
-    ap.add_argument("--workers", type=_parse_int, default=None,
+    ap.add_argument("--workers", type=as_int, default=None,
                     help="parallel worker processes (default 1; results identical)")
     ap.add_argument("--output", default=None, help="output file path")
     ap.add_argument("--format", choices=("csv", "json"), default=None)
@@ -547,7 +563,9 @@ def main(argv=None):
         file_values = _read_config_file(ns.config) if ns.config else {}
         if ns.overhead_report or file_values.get("overhead_report"):
             cfg = build_manifest(ns, file_values).config
-            full, direct = report_pilot_overhead(cfg)
+            full, direct = pilot_overhead_counts(
+                cfg.rx_antennas, cfg.streams, cfg.ris_elements
+            )
             print(
                 f"pilot overhead (rx_antennas={cfg.rx_antennas}, "
                 f"streams={cfg.streams}, ris_elements={cfg.ris_elements}): "

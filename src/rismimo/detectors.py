@@ -1,30 +1,38 @@
 """Per-stream post-detection SNR under four CSI regimes.
 
 All detectors are zero-forcing style linear front ends; they differ in which
-part of the channel the receiver is assumed to know:
+part of the channel the receiver is assumed to know. With g_i(A) =
+[(A^H A)^{-1}]_{ii} and B = H diag(e^{j phi}) G the cascade:
 
-  DirectCsi  pseudoinverse of the direct channel only; the reflected path
-             acts as extra additive noise.
-  RisCsi     pseudoinverse of the cascaded (surface) channel only; the
-             direct path acts as extra additive noise.
-  FullCsi    pseudoinverse of the exact composite channel (genie benchmark).
-  Joint      QR of the direct channel; the rotated cascade contributes a
-             noncoherent term on each diagonal, and off-diagonal leakage is
-             ignored exactly as the SNR definition prescribes.
+  DirectCsi  gamma_i = p / [(p L xi2_H sum_k xi2_G,k + 1) g_i(H_d)]; the
+             unequalized cascade raises the noise floor by its average power.
+  RisCsi     gamma_i = p / [(p sum_k xi2_D,k + 1) g_i(B)]; the unequalized
+             direct path raises the noise floor. Needs L >= M.
+  FullCsi    gamma_i = p / g_i(H_d + B), the exact composite channel (genie
+             benchmark), never a Gaussian stand-in.
+  Joint      with H_d = QR, gamma_i = p |r_ii + q_i^H b_i|^2: the rotated
+             cascade adds a noncoherent term on each diagonal and
+             off-diagonal leakage is ignored, as the SNR definition
+             prescribes. Both addends pick up the same unit factor, so the
+             value does not depend on the QR phase convention.
 
-Noise is never sampled: each gamma is a deterministic function of the drawn
-channel blocks, which is what lets the Monte Carlo engine reuse one draw
-across schemes (common random numbers).
+The kernels work on stacked arrays (leading axis = trial); one-stream
+requests form R factors only. Rank deficiency is flagged per trial, not
+raised, so failures get counted. Noise is never sampled: each gamma is a
+deterministic function of the drawn channel blocks, which is what lets the
+Monte Carlo engine reuse one draw across schemes (common random numbers).
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import cmatrix
-from .channel import composite_channel
+from .channel import cascade_batch
 from .errors import ConfigurationError
+
+# Relative threshold on diag(R) below which a matrix is treated as rank
+# deficient. Scaled by the largest diagonal so it is size- and unit-free.
+RANK_RTOL = 1e-12
 
 
 class Scheme(enum.Enum):
@@ -44,14 +52,6 @@ class Scheme(enum.Enum):
             f"unknown scheme {token!r}; expected one of "
             f"{[s.value for s in cls]}"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class SnrSample:
-    """Instantaneous per-stream SNRs of one realization under one scheme."""
-
-    scheme: Scheme
-    gamma: np.ndarray  # (M,), linear SNR per stream
 
 
 def threshold_from_rate(rate):
@@ -85,87 +85,9 @@ def check_cascade_rank(cfg):
         )
 
 
-def _cascade(real):
-    return (real.ris_rx * np.exp(1j * real.phases)[np.newaxis, :]) @ real.tx_ris
-
-
-def snr_direct(real, cfg):
-    """Direct-CSI ZF: gamma_i = p / [(p L xi2_H sum_k xi2_G,k + 1) g_i].
-
-    g_i = [(H_d^H H_d)^{-1}]_{ii}. The cascade is not equalized, so its full
-    average power p L xi2_H sum_k xi2_G,k inflates the noise floor.
-    """
-    g = cmatrix.gram_inverse_diag(real.direct)
-    p = cfg.tx_snr
-    noise = interference_power(cfg, Scheme.DirectCsi, p) + 1.0
-    return SnrSample(Scheme.DirectCsi, p / (noise * g))
-
-
-def floor_direct(real, cfg):
-    """p -> inf limit of snr_direct on the same realization."""
-    g = cmatrix.gram_inverse_diag(real.direct)
-    scale = interference_power(cfg, Scheme.DirectCsi)
-    return SnrSample(Scheme.DirectCsi, 1.0 / (scale * g))
-
-
-def snr_ris(real, cfg):
-    """Cascade-CSI ZF: gamma_i = p / [(p sum_k xi2_D,k + 1) g_i].
-
-    g_i = [((H Phi G)^H H Phi G)^{-1}]_{ii}, computed with the drawn phases
-    in place. The unequalized direct path raises the noise floor by its
-    average power p sum_k xi2_D,k. Needs L >= M for the cascade to have
-    full column rank.
-    """
-    check_cascade_rank(cfg)
-    g = cmatrix.gram_inverse_diag(_cascade(real))
-    p = cfg.tx_snr
-    noise = interference_power(cfg, Scheme.RisCsi, p) + 1.0
-    return SnrSample(Scheme.RisCsi, p / (noise * g))
-
-
-def floor_ris(real, cfg):
-    """p -> inf limit of snr_ris on the same realization."""
-    check_cascade_rank(cfg)
-    g = cmatrix.gram_inverse_diag(_cascade(real))
-    return SnrSample(Scheme.RisCsi, 1.0 / (interference_power(cfg, Scheme.RisCsi) * g))
-
-
-def snr_full(real, cfg):
-    """Full-CSI ZF on the exact composite channel: gamma_i = p / g_i.
-
-    g_i is the inverse-Gram diagonal of H_d + H Phi G itself, never of a
-    Gaussian stand-in, so Monte Carlo built on this detector measures the
-    true benchmark.
-    """
-    g = cmatrix.gram_inverse_diag(composite_channel(real))
-    return SnrSample(Scheme.FullCsi, cfg.tx_snr / g)
-
-
-def snr_joint(real, cfg):
-    """Joint coherent/noncoherent detection via QR of the direct channel.
-
-    With H_d = QR, gamma_i = p |[R + Q^H (H Phi G)]_{ii}|^2. The result is
-    invariant to the QR phase convention since both addends pick up the
-    same unit factor.
-    """
-    q, r = cmatrix.qr_decompose(real.direct)
-    m = cfg.streams
-    b = _cascade(real)
-    t = np.einsum("nm,nm->m", q[:, :m].conj(), b)
-    diag = np.diagonal(r)[:m] + t
-    return SnrSample(Scheme.Joint, cfg.tx_snr * np.abs(diag) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# Batched kernels for the Monte Carlo engine: the math above on stacked
-# arrays (leading axis = trial); one-stream requests form R factors only.
-# Rank deficiency is flagged per trial, not raised, so failures get counted.
-# ---------------------------------------------------------------------------
-
-
 def _batch_rank_ok(rdiag_abs):
     top = rdiag_abs.max(axis=1)
-    return rdiag_abs.min(axis=1) >= cmatrix.RANK_RTOL * top
+    return rdiag_abs.min(axis=1) >= RANK_RTOL * top
 
 
 def _batch_inverse_gram(a, stream=None):
@@ -212,10 +134,6 @@ def _batch_joint(direct, cascade, stream=None):
     return np.abs(rdiag + t) ** 2, ok
 
 
-def _batch_cascade(batch):
-    return (batch.ris_rx * np.exp(1j * batch.phases)[:, np.newaxis, :]) @ batch.tx_ris
-
-
 def batch_gammas(batch, cfg, schemes, streams=None):
     """Per-stream SNRs for each requested scheme on a shared channel stack.
 
@@ -231,7 +149,7 @@ def batch_gammas(batch, cfg, schemes, streams=None):
     ok = np.ones(batch.direct.shape[0], dtype=bool)
     gammas = {}
     need_cascade = any(s is not Scheme.DirectCsi for s in schemes)
-    cascade = _batch_cascade(batch) if need_cascade else None
+    cascade = cascade_batch(batch) if need_cascade else None
     for s in schemes:
         i = None if streams is None else streams[s]
         if s is Scheme.Joint:

@@ -189,11 +189,11 @@ def _chunk(payload):
     """(parts, failures) for a contiguous range of trial blocks.
 
     parts[scheme] has one entry per block: the valid trials' SNRs at the
-    scheme's stream, or, given ``thresholds``, their per-stream counts
-    below thresholds[scheme]. Rank-failed trials are dropped from every
-    scheme alike so the common draws stay aligned.
+    scheme's stream, or at every stream when ``streams`` is None.
+    Rank-failed trials are dropped from every scheme alike so the common
+    draws stay aligned.
     """
-    cfg, schemes, streams, thresholds, master_seed, first, sizes = payload
+    cfg, schemes, streams, master_seed, first, sizes = payload
     parts = {s: [] for s in schemes}
     failures = 0
     for off, size in enumerate(sizes):
@@ -202,14 +202,11 @@ def _chunk(payload):
         bad = size - int(ok.sum())
         failures += bad
         for s in schemes:
-            g = gammas[s][ok] if bad else gammas[s]
-            if thresholds is not None:
-                g = np.count_nonzero(g < thresholds[s], axis=0)
-            parts[s].append(g)
+            parts[s].append(gammas[s][ok] if bad else gammas[s])
     return parts, failures
 
 
-def _collect(cfg, schemes, streams, thresholds, trials, seed, workers):
+def _collect(cfg, schemes, streams, trials, seed, workers):
     """All trial blocks through `_chunk` on ``workers`` processes:
     ({scheme: block results in index order}, failures)."""
     workers = int(workers)
@@ -217,7 +214,7 @@ def _collect(cfg, schemes, streams, thresholds, trials, seed, workers):
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
     sizes = _block_plan(trials)
     payloads = [
-        (cfg, schemes, streams, thresholds, seed.master_seed, lo, sizes[lo:hi])
+        (cfg, schemes, streams, seed.master_seed, lo, sizes[lo:hi])
         for lo, hi in _chunk_ranges(len(sizes), workers)
     ]
     if workers == 1 or len(payloads) == 1:
@@ -268,7 +265,7 @@ def snr_samples(cfg, schemes, trials, seed, stream=None, workers=1):
     schemes = canonical_schemes(schemes)
     trials = _validate_trials(trials)
     streams = resolve_streams(cfg, schemes, stream)
-    parts, failures = _collect(cfg, schemes, streams, None, trials, seed, workers)
+    parts, failures = _collect(cfg, schemes, streams, trials, seed, workers)
     return {s: np.sort(np.concatenate(parts[s])) for s in schemes}, failures
 
 
@@ -284,10 +281,8 @@ def estimate_outage(cfg, scheme, gamma_th, trials, seed, workers=1):
     gamma_th = _validate_threshold(gamma_th)
     trials = _validate_trials(trials)
     thr = threshold_at_unit_snr(scheme, cfg, cfg.tx_snr, gamma_th)
-    parts, failures = _collect(
-        _unit_config(cfg), (scheme,), None, {scheme: thr}, trials, seed, workers
-    )
-    counts = sum(parts[scheme])
+    parts, failures = _collect(_unit_config(cfg), (scheme,), None, trials, seed, workers)
+    counts = np.count_nonzero(np.concatenate(parts[scheme]) < thr, axis=0)
     valid = trials - failures
     return [
         _estimate_from_count(scheme, i, int(counts[i]), valid, failures)

@@ -13,11 +13,10 @@ from rismimo.channel import (
     SeedSpec,
     SystemConfig,
     clt_psi2,
+    cascade_batch,
     clt_surrogate,
     composite_batch,
-    composite_channel,
     draw_channel_batch,
-    draw_channels,
     uniforms_per_trial,
 )
 from rismimo.errors import ConfigurationError
@@ -75,9 +74,9 @@ def test_seed_spec_bit_limits():
 # --- determinism and substream layout -------------------------------------------
 
 def test_draws_are_deterministic_per_seed():
-    a = draw_channels(CFG, SeedSpec(5, 0))
-    b = draw_channels(CFG, SeedSpec(5, 0))
-    c = draw_channels(CFG, SeedSpec(5, 1))
+    a = draw_channel_batch(CFG, SeedSpec(5, 0), 1)
+    b = draw_channel_batch(CFG, SeedSpec(5, 0), 1)
+    c = draw_channel_batch(CFG, SeedSpec(5, 1), 1)
     assert np.array_equal(a.direct, b.direct)
     assert np.array_equal(a.phases, b.phases)
     assert not np.array_equal(a.direct, c.direct)
@@ -85,20 +84,14 @@ def test_draws_are_deterministic_per_seed():
 
 def test_batch_is_prefix_stable():
     # a shorter batch must be the leading slice of a longer one so that
-    # truncated runs agree with full runs trial for trial
-    small = draw_channel_batch(CFG, SeedSpec(9, 3), 10)
+    # truncated runs agree with full runs trial for trial, down to one trial
     large = draw_channel_batch(CFG, SeedSpec(9, 3), 64)
-    assert np.array_equal(small.direct, large.direct[:10])
-    assert np.array_equal(small.ris_rx, large.ris_rx[:10])
-    assert np.array_equal(small.tx_ris, large.tx_ris[:10])
-    assert np.array_equal(small.phases, large.phases[:10])
-
-
-def test_single_draw_matches_batch_head():
-    one = draw_channels(CFG, SeedSpec(7, 2))
-    batch = draw_channel_batch(CFG, SeedSpec(7, 2), 5)
-    assert np.array_equal(one.direct, batch.direct[0])
-    assert np.array_equal(one.tx_ris, batch.tx_ris[0])
+    for count in (1, 10):
+        small = draw_channel_batch(CFG, SeedSpec(9, 3), count)
+        assert np.array_equal(small.direct, large.direct[:count])
+        assert np.array_equal(small.ris_rx, large.ris_rx[:count])
+        assert np.array_equal(small.tx_ris, large.tx_ris[:count])
+        assert np.array_equal(small.phases, large.phases[:count])
 
 
 def test_uniforms_per_trial_formula():
@@ -142,12 +135,11 @@ def test_real_and_imag_parts_gaussian():
 # --- composite channel -------------------------------------------------------------
 
 def test_composite_matches_hand_assembly():
-    real = draw_channels(CFG, SeedSpec(50, 0))
-    comp = composite_channel(real)
-    want = real.direct + real.ris_rx @ np.diag(np.exp(1j * real.phases)) @ real.tx_ris
-    assert np.allclose(comp, want, atol=1e-14)
     batch = draw_channel_batch(CFG, SeedSpec(50, 0), 3)
-    assert np.allclose(composite_batch(batch)[0], want, atol=1e-14)
+    for t in range(3):
+        casc = batch.ris_rx[t] @ np.diag(np.exp(1j * batch.phases[t])) @ batch.tx_ris[t]
+        assert np.allclose(cascade_batch(batch)[t], casc, atol=1e-14)
+        assert np.allclose(composite_batch(batch)[t], batch.direct[t] + casc, atol=1e-14)
 
 
 def test_composite_entry_variance():
@@ -192,8 +184,8 @@ def test_surrogate_draws():
     assert sur.matrix.shape == (3, 2)
     assert np.allclose(sur.psi2, clt_psi2(cfg, SCALE_DERIVED))
     # surrogate substream is separate from the channel substream
-    chan = draw_channels(cfg, SeedSpec(53, 0))
-    assert not np.allclose(sur.matrix, chan.direct[:, :2])
+    chan = draw_channel_batch(cfg, SeedSpec(53, 0), 1)
+    assert not np.allclose(sur.matrix, chan.direct[0])
     # deterministic
     again = clt_surrogate(cfg, SeedSpec(53, 0))
     assert np.array_equal(sur.matrix, again.matrix)

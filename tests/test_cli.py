@@ -1,7 +1,6 @@
 """Command-line front end: presets, parsing, precedence, files, exit codes."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -199,11 +198,21 @@ def test_exit_code_for_bad_configuration(tmp_path, capsys):
 
 
 def test_integer_flags_reject_non_integers(tmp_path, capsys):
-    for flag, value in (("--trials", "2.7"), ("--seed", "1e3"), ("--n", "six"),
-                        ("--workers", "1.0")):
+    # the message states the rule the value broke, not the converter's name
+    integer = "expected an integer, got"
+    for flag, value, rule in (
+        ("--trials", "2.7", integer), ("--seed", "1e3", integer),
+        ("--n", "six", integer), ("--workers", "1.0", integer),
+        ("--snr-db", "1:x:1", "expected a number or 'start:stop:step' numbers"),
+        ("--gain-d", "a,b", "expected a number or a comma list of numbers"),
+        ("--schemes", "zf", "unknown scheme 'zf'"),
+    ):
         status, out = _run_small(tmp_path, "bad.csv", (flag, value))
         assert status == EXIT_CONFIG, flag
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {rule}" in err, err
+        assert "invalid" not in err, err
     cfgfile = tmp_path / "bad.conf"
     cfgfile.write_text("trials = 2.7\n")
     assert main(["--config", str(cfgfile)]) == EXIT_CONFIG

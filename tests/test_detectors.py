@@ -1,6 +1,6 @@
-"""Detector SNR formulas: hand-built cases, limits, distributions, batch kernels."""
+"""Detector SNR kernels: hand-built cases, distributions, an independent
+per-trial oracle, and the one-stream path."""
 
-import dataclasses
 import math
 import warnings
 
@@ -8,25 +8,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from rismimo.channel import (
-    ChannelBatch,
-    ChannelRealization,
-    SeedSpec,
-    SystemConfig,
-    draw_channel_batch,
-    draw_channels,
-)
-from rismimo.detectors import (
-    Scheme,
-    batch_gammas,
-    floor_direct,
-    floor_ris,
-    snr_direct,
-    snr_full,
-    snr_joint,
-    snr_ris,
-    threshold_from_rate,
-)
+from rismimo.channel import ChannelBatch, SeedSpec, SystemConfig, draw_channel_batch
+from rismimo.detectors import Scheme, batch_gammas, threshold_from_rate
 from rismimo.errors import ConfigurationError
 
 
@@ -49,37 +32,39 @@ def test_scheme_tokens_round_trip():
         Scheme.from_token("zf")
 
 
-def _scalar_realization(hd, h, g, phi):
-    """1x1 system with a single reflecting element."""
-    return ChannelRealization(
-        direct=np.array([[hd]], dtype=complex),
-        ris_rx=np.array([[h]], dtype=complex),
-        tx_ris=np.array([[g]], dtype=complex),
-        phases=np.array([phi], dtype=float),
+def _scalar_batch(hd, h, g, phi):
+    """One trial of a 1x1 system with a single reflecting element."""
+    return ChannelBatch(
+        direct=np.array([[[hd]]], dtype=complex),
+        ris_rx=np.array([[[h]]], dtype=complex),
+        tx_ris=np.array([[[g]]], dtype=complex),
+        phases=np.array([[phi]], dtype=float),
     )
 
 
 def test_scalar_case_all_schemes():
     # N = M = L = 1 lets every formula be checked by hand
     hd, h, g, phi = 2.0 + 0.0j, 1.0j, 3.0, math.pi / 2
-    real = _scalar_realization(hd, h, g, phi)
+    batch = _scalar_batch(hd, h, g, phi)
     cfg = SystemConfig(1, 1, 1, tx_snr=4.0, gain_direct=1.0, gain_tx_ris=1.0)
     casc = h * np.exp(1j * phi) * g  # = -3
     comp = hd + casc                 # = -1
+    gam, ok = batch_gammas(batch, cfg, ALL)
+    assert ok.all()
 
-    got_d = snr_direct(real, cfg).gamma[0]
+    got_d = gam[Scheme.DirectCsi][0, 0]
     assert got_d == pytest.approx(4.0 * abs(hd) ** 2 / (4.0 * 1 * 1 * 1 + 1.0))
 
-    got_ris = snr_ris(real, cfg).gamma[0]
+    got_ris = gam[Scheme.RisCsi][0, 0]
     assert got_ris == pytest.approx(4.0 * abs(casc) ** 2 / (4.0 * 1.0 + 1.0))
 
-    got_full = snr_full(real, cfg).gamma[0]
+    got_full = gam[Scheme.FullCsi][0, 0]
     assert got_full == pytest.approx(4.0 * abs(comp) ** 2)
 
     # QR of a scalar gives r = |hd|, q = hd/|hd|; the rotated cascade is
     # conj(q) * casc
     qc = np.conj(hd / abs(hd)) * casc
-    got_j = snr_joint(real, cfg).gamma[0]
+    got_j = gam[Scheme.Joint][0, 0]
     assert got_j == pytest.approx(4.0 * abs(abs(hd) + qc) ** 2)
 
 
@@ -89,31 +74,20 @@ def test_full_reduces_to_plain_zf_when_surface_silent():
     cfg = SystemConfig(5, 3, 2, tx_snr=2.5)
     rng = np.random.default_rng(8)
     hd = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
-    real = ChannelRealization(
-        direct=hd,
-        ris_rx=np.zeros((5, 2), dtype=complex),
-        tx_ris=np.zeros((2, 3), dtype=complex),
-        phases=np.zeros(2),
+    batch = ChannelBatch(
+        direct=hd[np.newaxis],
+        ris_rx=np.zeros((1, 5, 2), dtype=complex),
+        tx_ris=np.zeros((1, 2, 3), dtype=complex),
+        phases=np.zeros((1, 2)),
     )
+    gam, ok = batch_gammas(batch, cfg, (Scheme.FullCsi, Scheme.Joint))
+    assert ok.all()
     ginv = np.diag(np.linalg.inv(hd.conj().T @ hd)).real
-    assert np.allclose(snr_full(real, cfg).gamma, 2.5 / ginv, rtol=1e-12)
+    assert np.allclose(gam[Scheme.FullCsi][0], 2.5 / ginv, rtol=1e-12)
 
     r = np.linalg.qr(hd)[1]
     want_j = 2.5 * np.abs(np.diagonal(r)) ** 2
-    assert np.allclose(snr_joint(real, cfg).gamma, want_j, rtol=1e-12)
-
-
-@pytest.mark.parametrize("snr_fn,floor_fn", [(snr_direct, floor_direct), (snr_ris, floor_ris)])
-def test_floors_are_high_power_limits(snr_fn, floor_fn):
-    cfg = SystemConfig(6, 3, 4, gain_direct=(0.5, 1.0, 2.0), gain_ris_rx=0.8)
-    real = draw_channels(cfg, SeedSpec(21, 0))
-    lim = floor_fn(real, cfg).gamma
-    near = snr_fn(real, dataclasses.replace(cfg, tx_snr=1e6)).gamma
-    far = snr_fn(real, dataclasses.replace(cfg, tx_snr=1e9)).gamma
-    assert np.allclose(near, lim, rtol=1e-3)
-    assert np.allclose(far, lim, rtol=1e-6)
-    # saturation from below
-    assert np.all(near <= lim)
+    assert np.allclose(gam[Scheme.Joint][0], want_j, rtol=1e-12)
 
 
 def test_direct_gamma_is_gamma_distributed():
@@ -135,54 +109,68 @@ def test_stream_permutation_covariance():
     # relabeling the streams permutes pseudoinverse-based gammas but not the
     # joint ones: successive QR cancellation is order sensitive
     cfg = SystemConfig(6, 4, 5)
-    real = draw_channels(cfg, SeedSpec(23, 0))
+    batch = draw_channel_batch(cfg, SeedSpec(23, 0), 1)
     perm = np.array([2, 0, 3, 1])
-    permuted = ChannelRealization(
-        direct=real.direct[:, perm],
-        ris_rx=real.ris_rx,
-        tx_ris=real.tx_ris[:, perm],
-        phases=real.phases,
+    permuted = ChannelBatch(
+        direct=batch.direct[:, :, perm],
+        ris_rx=batch.ris_rx,
+        tx_ris=batch.tx_ris[:, :, perm],
+        phases=batch.phases,
     )
-    for fn in (snr_direct, snr_ris, snr_full):
-        base = fn(real, cfg).gamma
-        swapped = fn(permuted, cfg).gamma
-        assert np.allclose(swapped, base[perm], rtol=1e-9)
-    base_j = snr_joint(real, cfg).gamma
-    swapped_j = snr_joint(permuted, cfg).gamma
-    assert not np.allclose(swapped_j, base_j[perm], rtol=1e-3)
+    base, _ = batch_gammas(batch, cfg, ALL)
+    swapped, _ = batch_gammas(permuted, cfg, ALL)
+    for scheme in (Scheme.DirectCsi, Scheme.RisCsi, Scheme.FullCsi):
+        assert np.allclose(swapped[scheme], base[scheme][:, perm], rtol=1e-9)
+    assert not np.allclose(swapped[Scheme.Joint], base[Scheme.Joint][:, perm], rtol=1e-3)
 
 
 def test_ris_requires_enough_elements():
     cfg = SystemConfig(4, 3, 2)
-    real = draw_channels(cfg, SeedSpec(24, 0))
-    with pytest.raises(ConfigurationError):
-        snr_ris(real, cfg)
-    with pytest.raises(ConfigurationError):
-        floor_ris(real, cfg)
-    batch = draw_channel_batch(cfg, SeedSpec(24, 0), 4)
+    batch = draw_channel_batch(cfg, SeedSpec(24, 0), 1)
     with pytest.raises(ConfigurationError):
         batch_gammas(batch, cfg, (Scheme.RisCsi,))
+    with pytest.raises(ConfigurationError):
+        batch_gammas(batch, cfg, (Scheme.RisCsi,), {Scheme.RisCsi: 0})
+    # the other schemes do not need L >= M
+    _, ok = batch_gammas(batch, cfg, (Scheme.DirectCsi, Scheme.FullCsi, Scheme.Joint))
+    assert ok.all()
+
+
+def _oracle_gammas(batch, cfg, t):
+    """Trial t's per-stream SNRs in plain numpy: p / diag(inv(A^H A)) with
+    the interference floors written out for the ZF schemes, and
+    |r_ii + q_i^H c_i|^2 from numpy's QR of H_d for the joint one."""
+    p = cfg.tx_snr
+    hd = batch.direct[t]
+    casc = batch.ris_rx[t] @ np.diag(np.exp(1j * batch.phases[t])) @ batch.tx_ris[t]
+
+    def gram_inv_diag(a):
+        return np.diag(np.linalg.inv(a.conj().T @ a)).real
+
+    noise_d = p * cfg.ris_elements * cfg.gain_ris_rx * cfg.gain_tx_ris.sum() + 1.0
+    noise_ris = p * cfg.gain_direct.sum() + 1.0
+    q, r = np.linalg.qr(hd)
+    return {
+        Scheme.DirectCsi: p / (noise_d * gram_inv_diag(hd)),
+        Scheme.RisCsi: p / (noise_ris * gram_inv_diag(casc)),
+        Scheme.FullCsi: p / gram_inv_diag(hd + casc),
+        Scheme.Joint: p * np.abs(np.diagonal(r) + np.sum(q.conj() * casc, axis=0)) ** 2,
+    }
 
 
 def test_batch_matches_single_trial_loop():
-    # the vectorized kernel and the one-shot functions are independent
-    # implementations of the same formulas; they must agree trial for trial
+    # the vectorized kernels against a per-trial numpy oracle, trial for
+    # trial and stream for stream
     cfg = SystemConfig(5, 3, 4, tx_snr=3.0, gain_direct=(0.5, 1.0, 1.5),
                        gain_tx_ris=0.7, gain_ris_rx=1.3)
     count = 50
     batch = draw_channel_batch(cfg, SeedSpec(25, 0), count)
     gam, ok = batch_gammas(batch, cfg, ALL)
     assert ok.all()
-    single = {Scheme.DirectCsi: snr_direct, Scheme.RisCsi: snr_ris,
-              Scheme.FullCsi: snr_full, Scheme.Joint: snr_joint}
     for t in range(count):
-        real = ChannelRealization(
-            direct=batch.direct[t], ris_rx=batch.ris_rx[t],
-            tx_ris=batch.tx_ris[t], phases=batch.phases[t],
-        )
-        for scheme, fn in single.items():
-            want = fn(real, cfg).gamma
-            assert np.allclose(gam[scheme][t], want, rtol=1e-12), (scheme, t)
+        for scheme, want in _oracle_gammas(batch, cfg, t).items():
+            np.testing.assert_allclose(gam[scheme][t], want, rtol=1e-12,
+                                       err_msg=f"{scheme} trial {t}")
 
 
 def test_batch_flags_rank_deficient_trials():
