@@ -84,14 +84,23 @@ def test_draws_are_deterministic_per_seed():
 
 def test_batch_is_prefix_stable():
     # a shorter batch must be the leading slice of a longer one so that
-    # truncated runs agree with full runs trial for trial, down to one trial
+    # truncated runs agree with full runs trial for trial
+    small = draw_channel_batch(CFG, SeedSpec(9, 3), 10)
     large = draw_channel_batch(CFG, SeedSpec(9, 3), 64)
-    for count in (1, 10):
-        small = draw_channel_batch(CFG, SeedSpec(9, 3), count)
-        assert np.array_equal(small.direct, large.direct[:count])
-        assert np.array_equal(small.ris_rx, large.ris_rx[:count])
-        assert np.array_equal(small.tx_ris, large.tx_ris[:count])
-        assert np.array_equal(small.phases, large.phases[:count])
+    assert np.array_equal(small.direct, large.direct[:10])
+    assert np.array_equal(small.ris_rx, large.ris_rx[:10])
+    assert np.array_equal(small.tx_ris, large.tx_ris[:10])
+    assert np.array_equal(small.phases, large.phases[:10])
+
+
+def test_single_draw_matches_batch_head():
+    # a one-trial batch is the single-realization draw; it must equal trial 0
+    one = draw_channel_batch(CFG, SeedSpec(7, 2), 1)
+    batch = draw_channel_batch(CFG, SeedSpec(7, 2), 5)
+    assert np.array_equal(one.direct, batch.direct[:1])
+    assert np.array_equal(one.ris_rx, batch.ris_rx[:1])
+    assert np.array_equal(one.tx_ris, batch.tx_ris[:1])
+    assert np.array_equal(one.phases, batch.phases[:1])
 
 
 def test_uniforms_per_trial_formula():
