@@ -16,13 +16,13 @@ import numpy as np
 from scipy.special import betainc, gammainc
 
 from .channel import DEFAULT_SCALE_MODE, SCALE_PAPER, clt_psi2
-from .detectors import Scheme, interference_power
+from .detectors import Scheme, check_cascade_rank, interference_power
 from .errors import ConfigurationError
 from .specfun import (
     adaptive_quad,  # unused here; bench/tracing.py wraps analytic.adaptive_quad
     gamma_expectation_rule,
     marcum_complement_gamma_average,
-    marcum_q1_complement,
+    marcum_q1_complement,  # unused here; bench/tracing.py counts its calls
     product_gamma_cdf,
     regularized_lower_gamma,
 )
@@ -70,14 +70,6 @@ def outage_direct_limit(cfg, i, gamma_th):
     return regularized_lower_gamma(shape, g * scale / cfg.gain_direct[i])
 
 
-def _check_ris_dims(cfg):
-    if not (cfg.rx_antennas >= cfg.ris_elements >= cfg.streams):
-        raise ConfigurationError(
-            "cascade-CSI outage needs rx_antennas >= ris_elements >= streams, "
-            f"got {cfg.rx_antennas} >= {cfg.ris_elements} >= {cfg.streams}"
-        )
-
-
 def _ris_kappa(cfg, i, limit=False):
     denom = cfg.gain_ris_rx * cfg.gain_tx_ris[i]
     if limit:
@@ -86,30 +78,32 @@ def _ris_kappa(cfg, i, limit=False):
     return (interference_power(cfg, Scheme.RisCsi, p) + 1.0) / (p * denom)
 
 
-def outage_ris(cfg, i, gamma_th, quad=None):
+def outage_ris(cfg, i, gamma_th):
     """Cascade-CSI outage via the product-of-gammas law.
 
-    The stream-i post-ZF numerator factors as xi2_H xi2_G,i * U * V with
-    independent U ~ Gamma(N-M+1), V ~ Gamma(L-M+1), hence
-    P(out) = F_{UV}(kappa gamma_th), kappa = (p sum_k xi2_D,k + 1)/(p xi2_H
-    xi2_G,i). Valid for N >= L >= M.
+    Given G, the rows of H Phi G are i.i.d. CN(0, xi2_H G^H G) (Phi is
+    unitary), so the stream-i post-ZF numerator is xi2_H U / [(G^H G)^{-1}]_ii
+    with U ~ Gamma(N-M+1) independent of G, and 1/[(G^H G)^{-1}]_ii is
+    xi2_G,i V with V ~ Gamma(L-M+1). Hence P(out) = F_{UV}(kappa gamma_th),
+    kappa = (p sum_k xi2_D,k + 1)/(p xi2_H xi2_G,i), for every N >= M and
+    L >= M.
     """
     _check_stream(cfg, i)
-    _check_ris_dims(cfg)
+    check_cascade_rank(cfg)
     g = _check_threshold(gamma_th)
     n1 = cfg.rx_antennas - cfg.streams + 1
     n2 = cfg.ris_elements - cfg.streams + 1
-    return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i) * g, quad)
+    return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i) * g)
 
 
-def outage_ris_limit(cfg, i, gamma_th, quad=None):
+def outage_ris_limit(cfg, i, gamma_th):
     """p -> inf limit of outage_ris (the outage floor)."""
     _check_stream(cfg, i)
-    _check_ris_dims(cfg)
+    check_cascade_rank(cfg)
     g = _check_threshold(gamma_th)
     n1 = cfg.rx_antennas - cfg.streams + 1
     n2 = cfg.ris_elements - cfg.streams + 1
-    return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i, limit=True) * g, quad)
+    return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i, limit=True) * g)
 
 
 def outage_full_clt(cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):
@@ -126,23 +120,6 @@ def outage_full_clt(cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):
     return regularized_lower_gamma(
         shape, g / (cfg.tx_snr * (cfg.gain_direct[i] + psi2))
     )
-
-
-def outage_joint_conditional(y, cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):
-    """Joint-detection outage conditioned on the direct coherent power y.
-
-    Given y = p |r_ii|^2 and the cascade variance held at its stand-in
-    value psi2_i, gamma_i is noncentral chi-square (2 dof, noncentrality y,
-    per-dimension variance sigma2 = p psi2_i / 2), so the conditional outage
-    is 1 - Q1(sqrt(y/sigma2), sqrt(gamma_th/sigma2)). The exact derived-mode
-    law in `outage_joint` averages this over the random cascade variance.
-    """
-    _check_stream(cfg, i)
-    g = _check_threshold(gamma_th)
-    if y < 0 or not math.isfinite(y):
-        raise ConfigurationError(f"conditional power must be finite and >= 0, got {y}")
-    sigma2 = 0.5 * cfg.tx_snr * clt_psi2(cfg, mode)[i]
-    return marcum_q1_complement(math.sqrt(y / sigma2), math.sqrt(g / sigma2))
 
 
 def outage_joint(

@@ -35,7 +35,6 @@ SCALE_MODES = (SCALE_PAPER, SCALE_DERIVED)
 DEFAULT_SCALE_MODE = SCALE_DERIVED
 
 _DOMAIN_CHANNEL = 0
-_DOMAIN_SURROGATE = 1
 _STREAM_BITS = 56
 
 
@@ -117,8 +116,8 @@ class SeedSpec:
 def _generator(seed, domain):
     """Philox generator for (master_seed, stream_index) in a draw domain.
 
-    The domain tag occupies the top bits of the second key word so channel
-    draws and surrogate draws with the same seed never share a stream.
+    The domain tag occupies the top bits of the second key word so draws
+    in different domains with the same seed never share a stream.
     """
     key = [int(seed.master_seed), (domain << _STREAM_BITS) | int(seed.stream_index)]
     return np.random.Generator(np.random.Philox(key=key))
@@ -181,11 +180,6 @@ def cascade_batch(batch):
     return (batch.ris_rx * np.exp(1j * batch.phases)[:, np.newaxis, :]) @ batch.tx_ris
 
 
-def composite_batch(batch):
-    """Batched composite channel H_d + H diag(e^{j phi}) G, (count, N, M)."""
-    return batch.direct + cascade_batch(batch)
-
-
 def clt_psi2(cfg, mode):
     """Per-stream variance of the Gaussian cascade stand-in, by scale mode."""
     if mode not in SCALE_MODES:
@@ -194,26 +188,3 @@ def clt_psi2(cfg, mode):
     if mode == SCALE_DERIVED:
         return cfg.ris_elements * base
     return base / cfg.ris_elements
-
-
-@dataclass(frozen=True, eq=False)
-class CltSurrogate:
-    """Gaussian stand-in A diag(psi) for the cascaded channel."""
-
-    matrix: np.ndarray    # (N, M), column i ~ CN(0, psi2[i])
-    psi2: np.ndarray      # (M,)
-    mode: str
-
-
-def clt_surrogate(cfg, seed, mode=DEFAULT_SCALE_MODE):
-    """Draw the Gaussian surrogate of the cascade for (cfg, seed).
-
-    Uses a draw domain distinct from draw_channel_batch, so surrogate and
-    exact channels from the same seed are independent.
-    """
-    psi2 = clt_psi2(cfg, mode)
-    n, m = cfg.rx_antennas, cfg.streams
-    gen = _generator(seed, _DOMAIN_SURROGATE)
-    u = gen.random((n, m, 2))
-    matrix = _polar_complex(u, psi2[np.newaxis, :])
-    return CltSurrogate(matrix, psi2, mode)

@@ -242,13 +242,6 @@ def _validate_trials(trials):
     return trials
 
 
-def _validate_threshold(gamma_th):
-    g = float(gamma_th)
-    if math.isnan(g) or g < 0.0:
-        raise ConfigurationError(f"gamma_th must be >= 0 or inf, got {gamma_th}")
-    return g
-
-
 def _unit_config(cfg):
     if cfg.tx_snr == 1.0:
         return cfg
@@ -267,27 +260,6 @@ def snr_samples(cfg, schemes, trials, seed, stream=None, workers=1):
     streams = resolve_streams(cfg, schemes, stream)
     parts, failures = _collect(cfg, schemes, streams, trials, seed, workers)
     return {s: np.sort(np.concatenate(parts[s])) for s in schemes}, failures
-
-
-def estimate_outage(cfg, scheme, gamma_th, trials, seed, workers=1):
-    """Empirical outage fraction per stream: P(gamma_i < gamma_th).
-
-    Returns a list of OutageEstimate, one per stream.  gamma_th may be 0
-    (estimate 0), a positive level, or inf (estimate 1).  Counting runs at
-    unit transmit power against the mapped threshold, which is the same
-    event trial for trial.
-    """
-    scheme = Scheme(scheme)
-    gamma_th = _validate_threshold(gamma_th)
-    trials = _validate_trials(trials)
-    thr = threshold_at_unit_snr(scheme, cfg, cfg.tx_snr, gamma_th)
-    parts, failures = _collect(_unit_config(cfg), (scheme,), None, trials, seed, workers)
-    counts = np.count_nonzero(np.concatenate(parts[scheme]) < thr, axis=0)
-    valid = trials - failures
-    return [
-        _estimate_from_count(scheme, i, int(counts[i]), valid, failures)
-        for i in range(cfg.streams)
-    ]
 
 
 def _estimate_from_count(scheme, stream_index, count, valid, failures):
@@ -315,14 +287,13 @@ def analytic_outage(
     gamma_th,
     scale_mode=DEFAULT_SCALE_MODE,
     joint_method=analytic.DEFAULT_JOINT_METHOD,
-    quad=None,
 ):
     """Closed-form outage for one scheme, dispatching on the scheme enum."""
     scheme = Scheme(scheme)
     if scheme is Scheme.DirectCsi:
         return analytic.outage_direct(cfg, stream, gamma_th)
     if scheme is Scheme.RisCsi:
-        return analytic.outage_ris(cfg, stream, gamma_th, quad=quad)
+        return analytic.outage_ris(cfg, stream, gamma_th)
     if scheme is Scheme.FullCsi:
         return analytic.outage_full_clt(cfg, stream, gamma_th, mode=scale_mode)
     return analytic.outage_joint(
@@ -346,7 +317,6 @@ def run_sweep(
     workers=1,
     scale_mode=DEFAULT_SCALE_MODE,
     joint_method=analytic.DEFAULT_JOINT_METHOD,
-    quad=None,
 ):
     """Outage curve over an SNR or rate grid, analytic and empirical side
     by side.
@@ -354,9 +324,8 @@ def run_sweep(
     One unit-power sample collection serves every grid point (the draws
     are common across points and schemes), so the empirical curve is
     smooth in the sweep variable and the cost does not scale with grid
-    size.  The cascade-CSI closed form only exists for N >= L >= M
-    column-count orderings; if its Monte Carlo run is requested outside
-    that range the analytic column is NaN.
+    size.  The cascade-CSI law holds for every N >= M and L >= M, the
+    range its detector accepts, so every analytic value is a number.
     """
     if not isinstance(sweep, SweepSpec):
         raise ConfigurationError("sweep must be a SweepSpec")
@@ -372,23 +341,19 @@ def run_sweep(
             "the printed closed form is only meaningful with scale_mode='paper'"
         )
 
-    # Closed forms first, so a failing quadrature stops the run before the
-    # Monte Carlo work instead of after it.
+    # Closed forms first, so a failing law stops the run before the Monte
+    # Carlo work instead of after it.
     laws = []
     for value in sweep.values:
         cfg_point = _point_config(cfg, sweep.variable, value)
         gamma_th = threshold_from_rate(cfg_point.rate)
-        ana = {}
-        for s in schemes:
-            try:
-                ana[s] = analytic_outage(
-                    s, cfg_point, streams[s], gamma_th,
-                    scale_mode=scale_mode, joint_method=joint_method, quad=quad,
-                )
-            except ConfigurationError:
-                if s is not Scheme.RisCsi:
-                    raise
-                ana[s] = math.nan
+        ana = {
+            s: analytic_outage(
+                s, cfg_point, streams[s], gamma_th,
+                scale_mode=scale_mode, joint_method=joint_method,
+            )
+            for s in schemes
+        }
         laws.append((value, cfg_point, gamma_th, ana))
 
     base = _unit_config(cfg)

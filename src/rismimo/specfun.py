@@ -13,19 +13,33 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammainc, gammainccinv, gammaln
+from scipy.special import gammainc, gammainccinv, gammaln, kve
 
 from .errors import ConfigurationError, NumericError
 
 # Longest k-grid marcum_complement_gamma_average may build: 8 MB per array.
 _MAX_SERIES_TERMS = 1 << 20
 
+# ln 2 = _LN2_HI + _LN2_LO, with 21 trailing zero bits in _LN2_HI so that
+# q * _LN2_HI is exact for integers q < 2^21 (the split of fdlibm's exp)
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+# the product-gamma recurrences move a power of two into an integer
+# exponent once a value passes 2^_SCALE_BITS
+_SCALE_BITS = 500
+_SCALE_LIMIT = 2.0**_SCALE_BITS
+# below this, 1 - (finite sum) has lost too many digits to cancellation
+_PRODUCT_GAMMA_TAIL = 1e-3
+# the product-gamma tail sum stops once what is left is below 1e-17 of it,
+# or raises past this many terms
+_TAIL_LOG_REL = math.log(1e-17)
+_MAX_TAIL_TERMS = 1 << 16
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for the adaptive quadratures in this module."""
+    """Tolerances for `adaptive_quad`."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-14
@@ -224,7 +238,12 @@ def adaptive_quad(f, lo, hi, spec, label):
 
     Raises NumericError (with the achieved tolerance attached) when the
     integrator reports failure instead of silently returning its estimate.
+    No law calls it: it is the tests' oracle. scipy.integrate is imported
+    here, on first use, because importing it costs a few tenths of a
+    second that no run of the program needs.
     """
+    from scipy import integrate
+
     out = integrate.quad(
         f,
         lo,
@@ -259,14 +278,102 @@ def gamma_expectation_rule(shape):
     return nodes, weights / weights.sum()
 
 
-def product_gamma_cdf(n1, n2, z, quad=None):
+def _scaled_bessel_k01(x):
+    """(e^x K_0(x), e^x K_1(x)) for x > 0.
+
+    scipy's kve returns nan from x ~ 1e10 on. Past 1e8 the Hankel
+    expansion sqrt(pi / 2x) (1 + (4 nu^2 - 1) / 8x + ...) is used instead;
+    its next term is below 2e-17 of the sum there.
+    """
+    if x < 1e8:
+        return float(kve(0, x)), float(kve(1, x))
+    lead = math.sqrt(math.pi / (2.0 * x))
+    return lead * (1.0 - 0.125 / x), lead * (1.0 + 0.375 / x)
+
+
+def _mixed_poisson_terms(shape, z, count):
+    """[E Pois(k; z/V) for k < count] with V ~ Gamma(shape, 1), z > 0.
+
+    Term k is z^k/k! E[V^-k e^{-z/V}], and E[V^-k e^{-z/V}] =
+    2 z^{(m-k)/2} K_{m-k}(x) / Gamma(m) with m = shape and x = 2 sqrt(z)
+    (Gradshteyn & Ryzhik 3.471.9; K_{-nu} = K_nu). So term k is
+    c_k o_{|m-k|} e^{-x}, where the coefficients c_k step by ratios of
+    integers and, scaled by e^x,
+        o_0 = 2 K_0(x),   o_nu = 2 z^{nu/2} K_nu(x) / Gamma(nu)  (nu >= 1).
+    o_nu e^{-x} is P(Gamma(nu) * Gamma(1) > z), so it stays in (0, 1], and
+    K_{nu+1} = K_{nu-1} + (2 nu / x) K_nu turns into the upward recurrence
+        o_2 = o_1 + z o_0,   o_{nu+1} = o_nu + z o_{nu-1} / (nu (nu-1)),
+    of positive terms, seeded by kve(0, x) and kve(1, x). kve(nu, x) alone
+    would overflow for large orders at small x. c_k and o_nu carry a
+    power-of-two exponent, and e^{-x} enters as 2^-q e^r, so no logarithm
+    of a large number is taken and rounded.
+    """
+    x = 2.0 * math.sqrt(z)
+    q = round(x / math.log(2.0))
+    # r = q ln 2 - x, exact to an ulp while q < 2^21 (q * _LN2_HI is exact);
+    # past x = 2^52 the clamp only keeps exp finite, and 2^-q flushes every
+    # term to zero there anyway
+    r = (q * _LN2_HI - x) + q * _LN2_LO
+    scale = math.exp(min(max(r, -1.0), 1.0))
+    k0, k1 = _scaled_bessel_k01(x)
+    o = [2.0 * k0, x * k1]
+    o_exp = [0, 0]
+    prev, cur, e = o[0], o[1], 0
+    for nu in range(1, max(shape, count - 1 - shape)):
+        step = z * prev if nu == 1 else z * prev / (nu * (nu - 1))
+        prev, cur = cur, cur + step
+        if cur > _SCALE_LIMIT:
+            prev /= _SCALE_LIMIT
+            cur /= _SCALE_LIMIT
+            e += _SCALE_BITS
+        o.append(cur)
+        o_exp.append(e)
+    terms = []
+    c, c_exp = 1.0, 0
+    for k in range(count):
+        if 0 < k < shape:
+            c *= z / (k * (shape - k))
+        elif k == shape:
+            c *= z / shape
+        elif k == shape + 1:
+            c /= shape + 1
+        elif k > shape + 1:
+            c *= (k - 1 - shape) / k
+        if not 1.0 / _SCALE_LIMIT <= c <= _SCALE_LIMIT:
+            c, shift = math.frexp(c)
+            c_exp += shift
+        nu = abs(shape - k)
+        terms.append(math.ldexp(c * o[nu] * scale, c_exp + o_exp[nu] - q))
+    return terms
+
+
+def _log_markov_bound(n1, n2, z):
+    """log of min_s z^s E[U^-s] E[V^-s] >= log P(U V <= z), over a few s in
+    (0, min(n1, n2)); U ~ Gamma(n1, 1), V ~ Gamma(n2, 1)."""
+    m = min(n1, n2)
+    lz = math.log(z)
+    return min(
+        s * lz + math.lgamma(n1 - s) - math.lgamma(n1)
+        + math.lgamma(n2 - s) - math.lgamma(n2)
+        for s in (m * t for t in (0.25, 0.5, 0.75, 0.9, 0.99))
+    )
+
+
+def product_gamma_cdf(n1, n2, z):
     """P(U * V <= z) for independent U ~ Gamma(n1, 1), V ~ Gamma(n2, 1).
 
-    Conditioning on V gives
-        int_0^inf P(n1, z/v) v^{n2-1} e^{-v} / (n2-1)! dv,
-    integrated adaptively on [0, sqrt(z)] and [sqrt(z), inf): the split point
-    is where the two tails trade dominance, and it keeps the quadrature from
-    straddling the kink in resolution scale.
+    The law is symmetric in the shapes; let a = min(n1, n2), b = max.
+    Given V, P(U <= z/V) = P(N >= a) for N ~ Poisson(z/V), so
+        P(U V <= z) = 1 - sum_{k<a} E Pois(k; z/V),   V ~ Gamma(b),
+    a finite sum of Bessel-K terms (`_mixed_poisson_terms`). Where it
+    leaves less than _PRODUCT_GAMMA_TAIL, the subtraction has cost digits,
+    and the law is summed from the other side, sum_{k>=a} E Pois(k; z/V),
+    whose terms are all positive. Those fall off only like k^-(b+1), so
+    they are summed up to K = a + 64. What lies beyond is P(U' V <= z)
+    with U' ~ Gamma(K), which by the same identity with the shapes swapped
+    is sum_{j>=b} E Pois(j; z/W), W ~ Gamma(K): its terms fall off like
+    j^-(K+1). That sum stops at j = J once Markov's inequality puts what
+    is left, P(U'' W <= z) with U'' ~ Gamma(J), below 1e-17 of the total.
     """
     _check_count(n1, "first shape")
     _check_count(n2, "second shape")
@@ -275,25 +382,20 @@ def product_gamma_cdf(n1, n2, z, quad=None):
         raise ConfigurationError(f"threshold must be finite and >= 0, got {z}")
     if z == 0.0:
         return 0.0
-    spec = quad if quad is not None else QuadratureSpec()
-    lg = math.lgamma(n2)
-
-    def integrand(v):
-        if v <= 0.0:
-            return 0.0
-        weight = math.exp((n2 - 1) * math.log(v) - v - lg)
-        return regularized_lower_gamma(n1, z / v) * weight
-
-    split = math.sqrt(z)
-    total = 0.0
-    achieved = 0.0
-    for lo, hi in ((0.0, split), (split, np.inf)):
-        val, err = adaptive_quad(integrand, lo, hi, spec, "product-gamma CDF")
-        total += val
-        achieved += err
-    if achieved > max(spec.abs_tol, spec.rel_tol * abs(total)) * 100:
-        raise NumericError(
-            "product-gamma quadrature did not reach the requested tolerance",
-            achieved_tolerance=achieved,
-        )
-    return min(max(total, 0.0), 1.0)
+    a, b = min(n1, n2), max(n1, n2)
+    cdf = 1.0 - math.fsum(_mixed_poisson_terms(b, z, a))
+    if cdf >= _PRODUCT_GAMMA_TAIL:
+        return min(cdf, 1.0)
+    big = a + 64
+    head = _mixed_poisson_terms(b, z, big)[a:]
+    extra = 64
+    while extra <= _MAX_TAIL_TERMS:
+        cdf = math.fsum(head + _mixed_poisson_terms(big, z, b + extra)[b:])
+        if cdf == 0.0 or (_log_markov_bound(b + extra, big, z)
+                          <= math.log(cdf) + _TAIL_LOG_REL):
+            return min(cdf, 1.0)
+        extra *= 2
+    raise NumericError(
+        f"product-gamma tail did not converge in {_MAX_TAIL_TERMS} terms "
+        f"(shapes {n1}, {n2}, threshold {z:.6g})"
+    )

@@ -39,8 +39,6 @@ from rismimo.channel import (
     SeedSpec,
     SystemConfig,
     clt_psi2,
-    clt_surrogate,
-    composite_batch,
     draw_channel_batch,
 )
 from rismimo.detectors import Scheme
@@ -50,6 +48,8 @@ from rismimo.specfun import (
     marcum_q1,
     product_gamma_cdf,
 )
+
+from helpers import clt_surrogate, composite_batch
 
 TRIALS = 10**6
 POWERS_DB = (-5.0, 0.0, 5.0, 10.0)

@@ -13,7 +13,6 @@ from rismimo.analytic import (
     outage_direct_limit,
     outage_full_clt,
     outage_joint,
-    outage_joint_conditional,
     outage_ris,
     outage_ris_limit,
 )
@@ -28,8 +27,9 @@ from rismimo.channel import (
 from rismimo.cli import preset_fig1, preset_fig2
 from rismimo.detectors import Scheme, batch_gammas, threshold_from_rate
 from rismimo.errors import ConfigurationError, NumericError
-from rismimo.montecarlo import estimate_outage
 from rismimo.specfun import QuadratureSpec, adaptive_quad, marcum_q1_complement
+
+from helpers import estimate_outage, outage_joint_conditional
 
 
 def _mc_outage(cfg, scheme, gamma_th, trials, seed, stream=0):
@@ -285,11 +285,12 @@ def test_joint_tail_decays_like_one_over_power():
 
 def test_ris_dimension_requirements():
     with pytest.raises(ConfigurationError):
-        outage_ris(SystemConfig(4, 2, 8), 0, 1.0)  # L > N
-    with pytest.raises(ConfigurationError):
         outage_ris(SystemConfig(4, 3, 2), 0, 1.0)  # L < M
     with pytest.raises(ConfigurationError):
-        outage_ris_limit(SystemConfig(4, 2, 8), 0, 1.0)
+        outage_ris_limit(SystemConfig(4, 3, 2), 0, 1.0)
+    # L > N is allowed: the law needs only N >= M and L >= M
+    assert 0.0 < outage_ris(SystemConfig(4, 2, 8), 0, 1.0) < 1.0
+    assert 0.0 < outage_ris_limit(SystemConfig(4, 2, 8), 0, 1.0) < 1.0
     # boundary case L = N = M is allowed
     assert outage_ris(SystemConfig(3, 3, 3), 0, 0.5) > 0.0
 

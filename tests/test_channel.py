@@ -14,12 +14,12 @@ from rismimo.channel import (
     SystemConfig,
     clt_psi2,
     cascade_batch,
-    clt_surrogate,
-    composite_batch,
     draw_channel_batch,
     uniforms_per_trial,
 )
 from rismimo.errors import ConfigurationError
+
+from helpers import clt_surrogate, composite_batch
 
 
 CFG = SystemConfig(rx_antennas=4, streams=2, ris_elements=3)

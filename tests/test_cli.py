@@ -1,10 +1,17 @@
 """Command-line front end: presets, parsing, precedence, files, exit codes."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rismimo
+from rismimo import analytic
 from rismimo.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -320,8 +327,9 @@ def test_rate_sweep_via_flags(tmp_path):
     assert float(echoed["snr_db_fixed"]) == pytest.approx(3.0)
 
 
-def test_json_out_of_range_law_is_null(tmp_path):
-    # N < L leaves the cascade-CSI law undefined; JSON has no NaN token
+def test_json_out_of_range_law_is_null(tmp_path, monkeypatch):
+    # a law with no value writes null, since JSON has no NaN token
+    monkeypatch.setattr(analytic, "outage_ris", lambda cfg, i, gamma_th: math.nan)
     out = tmp_path / "ris.json"
     status = main([
         "--n", "8", "--m", "4", "--l", "16", "--snr-db", "0",
@@ -337,3 +345,41 @@ def test_json_out_of_range_law_is_null(tmp_path):
         doc = json.load(fh, parse_constant=reject)
     assert [row["analytic_outage"] for row in doc["rows"]] == [None]
     assert 0.0 <= doc["rows"][0]["mc_outage"] <= 1.0
+
+
+def test_ris_law_at_small_rates_completes(tmp_path):
+    # (48, 4, 8) at 20 dB and rates 0.05-0.1 put the cascade-CSI law at
+    # shapes 45 and 5 and thresholds 0.14-0.28, deep in its lower tail,
+    # where an adaptive quadrature of the law reports failure
+    out = tmp_path / "ris.csv"
+    status = main([
+        "--n", "48", "--m", "4", "--l", "8", "--rate", "0.05:0.1:0.01",
+        "--snr-db-fixed", "20", "--schemes", "ris", "--trials", "1024",
+        "--output", str(out),
+    ])
+    assert status == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert len(rows) == 6
+    assert all(0.0 <= float(row[CSV_COLUMNS.index("analytic_outage")]) < 1e-6
+               for row in rows)
+
+
+def test_cli_run_does_not_import_scipy_integrate(tmp_path):
+    # scipy.integrate costs a few tenths of a second to import, and only the
+    # tests' quadrature oracles use it
+    src = str(Path(rismimo.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import rismimo.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'at import'\n"
+        "status = rismimo.cli.main(['--preset', 'fig1', '--trials', '1024',\n"
+        "                           '--output', 'run.csv'])\n"
+        "assert status == 0, status\n"
+        "assert 'scipy.integrate' not in sys.modules, 'after a run'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

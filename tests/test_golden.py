@@ -23,11 +23,11 @@ RUNS = {
 
 SHA256 = {
     "golden_4_2_2.csv":
-        "b38f472e2c9cf9b5f6a43866d87deeccca6b81245d83312f998a7d3de730a4bf",
+        "6c92ddad47b5cd34c58a6809d6af87ba7c4933fc194676b39bf88fb44aa8d5aa",
     "golden_32_12_16.csv":
-        "1b95813b73df8392a0d03ef2aeee000cbc0a8c9d413d38f1b41519c84393add7",
+        "43669f053b9597c61e95aa2fe4ae4dd58b73421eef5f6d6fb14a7ba9a3041a8d",
     "golden_32_12_16.json":
-        "b603578ee7eb6b40653b1cfef2cecd9eff1dcb9639b4d47a3686eae5c4ab75ce",
+        "fdaecc3bff9e22c9ad030742f644aeb4b9b8ae5bb6a421671861c0f67d8a1bfa",
 }
 
 

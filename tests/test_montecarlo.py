@@ -16,13 +16,14 @@ from rismimo.montecarlo import (
     _check_failures,
     canonical_schemes,
     default_report_stream,
-    estimate_outage,
     resolve_streams,
     run_sweep,
     snr_samples,
     threshold_at_unit_snr,
     wilson_interval,
 )
+
+from helpers import estimate_outage
 
 
 SMALL = SystemConfig(4, 2, 2, tx_snr=1.0)
@@ -255,24 +256,27 @@ def test_sweep_validates_inputs():
                             workers=workers)
 
 
-def test_sweep_ris_analytic_nan_outside_closed_form_range():
-    # L >= M so the detector runs, but L > N puts the closed form out of
-    # range; the empirical column must still be populated
-    cfg = SystemConfig(4, 2, 8, tx_snr=1.0)
-    curve = run_sweep(cfg, SweepSpec("snr_db", (0.0,)), (Scheme.RisCsi,),
-                      2_000, SeedSpec(84, 0))
-    point = curve.points[0]
-    assert math.isnan(point.analytic[Scheme.RisCsi])
-    assert 0.0 <= point.empirical[Scheme.RisCsi].probability <= 1.0
+def test_sweep_ris_law_matches_monte_carlo_when_elements_exceed_antennas():
+    # L > N: given G the rows of H Phi G are i.i.d. CN(0, xi2_H G^H G), so
+    # the product-gamma law holds for every N >= M and L >= M
+    for dims in ((4, 2, 8), (8, 4, 16)):
+        cfg = SystemConfig(*dims, tx_snr=1.0)
+        curve = run_sweep(cfg, SweepSpec("snr_db", (0.0, 10.0, 20.0)),
+                          (Scheme.RisCsi,), 102_400, SeedSpec(84, 0))
+        for point in curve.points:
+            want = point.analytic[Scheme.RisCsi]
+            est = point.empirical[Scheme.RisCsi]
+            assert 0.01 < want < 0.99
+            assert abs(est.probability - want) <= 4.0 * est.stderr, (dims, point.snr_db)
 
 
 def test_sweep_law_failure_stops_before_sampling(monkeypatch):
     # the law fails only at the last grid point, so every analytic value
     # has to be in hand before the first Monte Carlo block is drawn
-    def failing_law(cfg, i, gamma_th, quad=None):
+    def failing_law(cfg, i, gamma_th):
         if cfg.tx_snr > 5.0:
             raise NumericError("law did not converge")
-        return outage_ris(cfg, i, gamma_th, quad)
+        return outage_ris(cfg, i, gamma_th)
 
     sampled = []
 

@@ -7,8 +7,10 @@ the point of the tests, so none of them call the implementation to check
 itself.
 """
 
+import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -289,6 +291,91 @@ def test_product_gamma_monotone_and_bounded():
     assert (np.diff(vals) >= -1e-12).all()
     assert product_gamma_cdf(4, 2, 1e-12) < 1e-10
     assert product_gamma_cdf(4, 2, 5e4) > 1.0 - 1e-9
+
+
+# quantiles at which the oracle below splits its integral
+_SPLIT_LEVELS = (1e-15, 1e-8, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 1e-8, 1 - 1e-15)
+
+
+def _product_gamma_by_quadrature(n1, n2, z):
+    """P(UV <= z) by QUADPACK over v ~ Gamma(n2), or None where QUADPACK
+    reports a failure.
+
+    Integrates P(n1, z/v) f(v) and Q(n1, z/v) f(v), the latter giving
+    1 - P(UV <= z), and keeps the smaller side, so the value is accurate
+    to near epsrel in both tails. The integral is split at quantiles of V
+    and where P(n1, z/v) steps from 1 to 0, near v = z/n1: a spike there
+    is all of the law when z is small and n2 = 1.
+    """
+    step = [z / float(special.gammaincinv(n1, p)) for p in _SPLIT_LEVELS]
+    bulk = [float(special.gammaincinv(n2, p)) for p in _SPLIT_LEVELS]
+    cuts = sorted({c for c in step + bulk if 0.0 < c < math.inf})
+    log_norm = math.lgamma(n2)
+    sides = []
+    for part in (special.gammainc, special.gammaincc):
+
+        def integrand(v, part=part):
+            if v <= 0.0:
+                return 0.0
+            return part(n1, z / v) * math.exp((n2 - 1) * math.log(v) - v - log_norm)
+
+        total = 0.0
+        for lo, hi in zip([0.0] + cuts, cuts + [math.inf]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", integrate.IntegrationWarning)
+                out = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=2e-14,
+                                     limit=200, full_output=1)
+            if len(out) > 3:
+                total = None
+                break
+            total += out[0]
+        sides.append(total)
+    lower, upper = sides
+    if lower is not None and (upper is None or lower <= upper):
+        return lower
+    return None if upper is None else 1.0 - upper
+
+
+def test_product_gamma_small_threshold_with_unit_second_shape():
+    # U ~ Gamma(61), V ~ Gamma(1) at z = 1e-5..1e-3: the law is z/60 to
+    # first order and comes from a spike of width ~z/61 at v = 0, which an
+    # adaptive quadrature over v can miss entirely
+    for z in np.logspace(-5.0, -3.0, 9):
+        want = _product_gamma_by_quadrature(61, 1, z)
+        assert want is not None, z
+        assert product_gamma_cdf(61, 1, z) == pytest.approx(want, rel=1e-8), z
+        assert product_gamma_cdf(1, 61, z) == product_gamma_cdf(61, 1, z)
+
+
+def test_product_gamma_sweep_over_shapes_and_thresholds():
+    shapes = (1, 2, 3, 5, 21, 61, 150, 500)
+    zs = np.logspace(-300.0, 6.0, 307)
+    oracle_zs = (1e-300, 1e-30, 1e-8, 1e-3, 0.1, 10.0, 1e3, 1e5, 1e6)
+    checked = 0
+    for n1, n2 in itertools.product(shapes, shapes):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            vals = np.array([product_gamma_cdf(n1, n2, z) for z in zs])
+            at_oracle = [product_gamma_cdf(n1, n2, z) for z in oracle_zs]
+        assert np.all(np.isfinite(vals)), (n1, n2)
+        assert np.all((vals >= 0.0) & (vals <= 1.0)), (n1, n2)
+        assert np.all(np.diff(vals) >= 0.0), (n1, n2)
+        for z, got in zip(oracle_zs, at_oracle):
+            want = _product_gamma_by_quadrature(n1, n2, z)
+            if want is None:
+                continue
+            checked += 1
+            assert abs(got - want) <= 1e-13, (n1, n2, z, got, want)
+    # the oracle converges at all but a few of the 576 points
+    assert checked >= 0.95 * len(shapes) ** 2 * len(oracle_zs)
+
+
+def test_product_gamma_huge_threshold():
+    # scipy's kve returns nan from x = 2 sqrt(z) ~ 1e10 on; the law must
+    # still come out as 1, not nan, and not hang in its tail loop
+    for z in (1e20, 1e35, 1e300, 1.7e308):
+        assert product_gamma_cdf(21, 5, z) == 1.0
+        assert product_gamma_cdf(1, 1, z) == 1.0
 
 
 def test_product_gamma_validation():
