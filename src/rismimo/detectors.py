@@ -16,9 +16,16 @@ part of the channel the receiver is assumed to know. With g_i(A) =
              prescribes. Both addends pick up the same unit factor, so the
              value does not depend on the QR phase convention.
 
-The kernels work on stacked arrays (leading axis = trial); one-stream
-requests form R factors only. Rank deficiency is flagged per trial, not
-raised, so failures get counted. Noise is never sampled: each gamma is a
+The kernels never factor A. Each block forms three trials-last Gram stacks,
+G_d = H_d^H H_d, G_b = B^H B and X = H_d^H B, and one Gaussian elimination
+serves all four schemes. Its pivots are the |r_kk|^2 of the QR factor with
+the same column order. With column i put last, the last pivot of G_d, G_b
+or G_d + G_b + X + X^H is 1/g_i. For Joint, G_d is bordered by the columns
+X[:, i] = H_d^H b_i; once pivots 0..i-1 are eliminated, row i holds
+p_i = |r_ii|^2 and g_iM = conj(r_ii) q_i^H b_i, so
+|r_ii + q_i^H b_i|^2 = |p_i + g_iM|^2 / p_i, and one elimination gives
+every stream. Rank deficiency is flagged per trial, not raised, so
+failures get counted. Noise is never sampled: each gamma is a
 deterministic function of the drawn channel blocks, which is what lets the
 Monte Carlo engine reuse one draw across schemes (common random numbers).
 """
@@ -30,8 +37,10 @@ import numpy as np
 from .channel import cascade_batch
 from .errors import ConfigurationError
 
-# Relative threshold on diag(R) below which a matrix is treated as rank
-# deficient. Scaled by the largest diagonal so it is size- and unit-free.
+# A matrix is treated as rank deficient unless its smallest elimination
+# pivot exceeds RANK_RTOL times its largest, so the test is size- and
+# unit-free. A Gram pivot is |r_kk|^2 and carries about eps times the largest
+# pivot of rounding, so this bounds |r_kk| ratios at sqrt(1e-12) = 1e-6.
 RANK_RTOL = 1e-12
 
 
@@ -85,84 +94,86 @@ def check_cascade_rank(cfg):
         )
 
 
-def _batch_rank_ok(rdiag_abs):
-    top = rdiag_abs.max(axis=1)
-    return rdiag_abs.min(axis=1) >= RANK_RTOL * top
+def _gram(a, b):
+    """Trials-last stack of A^H B, (m, m', count), from (count, n, m) and
+    (count, n, m') stacks, so each matrix entry is a contiguous run."""
+    return np.ascontiguousarray((a.conj().transpose(0, 2, 1) @ b).transpose(1, 2, 0))
 
 
-def _batch_inverse_gram(a, stream=None):
-    """(diag((A^H A)^{-1}), rank-ok flags) for a (count, n, m) stack.
+def _eliminate(g):
+    """(pivots, ok) of Gaussian elimination, in place and without row
+    exchanges, on a trials-last (k, k + c, count) stack whose leading (k, k)
+    block is Hermitian.
 
-    With ``stream`` given, only that entry is computed: with column i moved
-    last, 1/[(A^H A)^{-1}]_{ii} = |r_mm|^2 is the squared distance of a_i
-    from the span of the other columns. Otherwise entry i is the squared
-    norm of row i of R^{-1}. Flagged trials get g = 1.
+    Row j ends as the Schur complement row left once pivots 0..j-1 are
+    eliminated. pivots is (k, count) and ok flags the trials whose smallest
+    pivot exceeds RANK_RTOL times the largest; a NaN pivot fails the test.
     """
-    m = a.shape[2]
-    if stream is not None:
-        a = a[:, :, [k for k in range(m) if k != stream] + [stream]]
-    r = np.linalg.qr(a, mode="r")
-    d = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    ok = _batch_rank_ok(d)
-    if stream is not None:
-        return 1.0 / np.where(ok, d[:, -1], 1.0) ** 2, ok
-    if not ok.all():
-        r[~ok] = np.eye(m, dtype=r.dtype)
-    return np.sum(np.abs(np.linalg.inv(r)) ** 2, axis=2), ok
+    k = g.shape[0]
+    for j in range(k - 1):
+        row = g[j, j + 1:]
+        factor = row[:k - 1 - j].conj()
+        factor *= 1.0 / g[j, j].real
+        g[j + 1:, j + 1:] -= factor[:, np.newaxis] * row
+    # a copy, so that holding the pivots does not keep the whole stack alive
+    pivots = np.diagonal(g).real.T.copy()
+    return pivots, pivots.min(axis=0) > RANK_RTOL * pivots.max(axis=0)
 
 
-def _batch_joint(direct, cascade, stream=None):
-    """(|r_ii + q_i^H c_i|^2, rank-ok flags) with H_d = QR, per trial.
-
-    With ``stream`` given, Q is never formed: the R factor of [H_d, c_i]
-    holds R in its first M columns and Q^H c_i in the last, so
-    t_i = R[i, M]. For all streams Q is formed instead: factoring all of
-    [H_d, C] would compute the whole of Q^H C to use its diagonal.
-    """
-    m = direct.shape[2]
-    if stream is None:
-        q, r = np.linalg.qr(direct)
-        t = np.einsum("bnm,bnm->bm", q.conj(), cascade)
-    else:
-        a = np.concatenate((direct, cascade[:, :, stream:stream + 1]), axis=2)
-        r = np.linalg.qr(a, mode="r")
-        t = r[:, stream, m]
-    rdiag = np.diagonal(r[:, :m, :m], axis1=1, axis2=2)
-    ok = _batch_rank_ok(np.abs(rdiag))
-    if stream is not None:
-        rdiag = rdiag[:, stream]
-    return np.abs(rdiag + t) ** 2, ok
+def _last_pivot(gram, i):
+    """(1/[G^{-1}]_ii, ok) from a trials-last Gram stack: put index i last
+    and eliminate the others."""
+    order = [k for k in range(gram.shape[0]) if k != i] + [i]
+    pivots, ok = _eliminate(gram[np.ix_(order, order)])
+    return pivots[-1], ok
 
 
 def batch_gammas(batch, cfg, schemes, streams=None):
     """Per-stream SNRs for each requested scheme on a shared channel stack.
 
     Returns (gammas, ok) with ok a (count,) mask of trials where every
-    requested decomposition had full numerical rank. gammas[scheme] has
+    requested elimination had full numerical rank. gammas[scheme] has
     shape (count, M); given ``streams``, a {scheme: stream index} dict, it
-    has shape (count,) and holds that stream alone, which costs one R
-    factor per scheme and no inverse.
+    has shape (count,) and holds that stream alone, which costs one
+    elimination per scheme. Flagged trials read 0.
     """
     if Scheme.RisCsi in schemes:
         check_cascade_rank(cfg)
+    wanted = set(schemes)
     p = cfg.tx_snr
-    ok = np.ones(batch.direct.shape[0], dtype=bool)
+    m = cfg.streams
+    direct = batch.direct
+    cascade = cascade_batch(batch) if wanted - {Scheme.DirectCsi} else None
+    grams = {}
+    if wanted & {Scheme.DirectCsi, Scheme.FullCsi, Scheme.Joint}:
+        grams[Scheme.DirectCsi] = _gram(direct, direct)
+    if wanted & {Scheme.RisCsi, Scheme.FullCsi}:
+        grams[Scheme.RisCsi] = _gram(cascade, cascade)
+    if wanted & {Scheme.FullCsi, Scheme.Joint}:
+        cross = _gram(direct, cascade)
+    if Scheme.FullCsi in wanted:
+        grams[Scheme.FullCsi] = (grams[Scheme.DirectCsi] + grams[Scheme.RisCsi]
+                                 + cross + cross.conj().transpose(1, 0, 2))
+
+    ok = np.ones(direct.shape[0], dtype=bool)
     gammas = {}
-    need_cascade = any(s is not Scheme.DirectCsi for s in schemes)
-    cascade = cascade_batch(batch) if need_cascade else None
-    for s in schemes:
-        i = None if streams is None else streams[s]
-        if s is Scheme.Joint:
-            g, k = _batch_joint(batch.direct, cascade, i)
-            gammas[s] = p * g
-        else:
-            if s is Scheme.DirectCsi:
-                a = batch.direct
-            elif s is Scheme.RisCsi:
-                a = cascade
+    # A rank-deficient trial may divide by a zero pivot. The inf or NaN stays
+    # in that trial, fails the strict ratio test and is replaced by 0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in schemes:
+            idx = list(range(m)) if streams is None else [streams[s]]
+            if s is Scheme.Joint:
+                # G_d bordered by X[:, i]; row i ends as (p_i, g_iM)
+                g = np.concatenate((grams[Scheme.DirectCsi], cross[:, idx]), axis=1)
+                pivots, k = _eliminate(g)
+                piv = pivots[idx]
+                gam = p * np.abs(piv + g[idx, m + np.arange(len(idx))]) ** 2 / piv
             else:
-                a = batch.direct + cascade
-            g, k = _batch_inverse_gram(a, i)
-            gammas[s] = p / ((interference_power(cfg, s, p) + 1.0) * g)
-        ok &= k
+                runs = [_last_pivot(grams[s], i) for i in idx]
+                gam = (p / (interference_power(cfg, s, p) + 1.0)
+                       * np.array([r[0] for r in runs]))
+                k = np.logical_and.reduce([r[1] for r in runs])
+            gam = np.where(k, gam, 0.0).T
+            gammas[s] = gam if streams is None else gam[:, 0]
+            ok &= k
     return gammas, ok

@@ -220,7 +220,9 @@ def _collect(cfg, schemes, streams, trials, seed, workers):
     if workers == 1 or len(payloads) == 1:
         results = [_chunk(p) for p in payloads]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # one process per payload: the executor may start every worker it
+        # is allowed, and fewer blocks than workers leave the rest idle
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
             results = list(pool.map(_chunk, payloads))
     failures = sum(r[1] for r in results)
     _check_failures(failures, trials)

@@ -1,6 +1,6 @@
 """Code that only the tests use: the per-stream outage estimator, the
-composite channel, the Gaussian cascade surrogate and the conditional
-joint-detection law.
+composite channel, the Gaussian cascade surrogate, the conditional
+joint-detection law and the QR formulation of the detector kernels.
 
 Each is built from the package's own pieces, so what it checks is the
 package: the same block loop, draws, threshold map and special functions
@@ -20,7 +20,7 @@ from rismimo.channel import (
     cascade_batch,
     clt_psi2,
 )
-from rismimo.detectors import Scheme
+from rismimo.detectors import RANK_RTOL, Scheme, interference_power
 from rismimo.errors import ConfigurationError
 from rismimo.montecarlo import (
     _collect,
@@ -102,3 +102,77 @@ def outage_joint_conditional(y, cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):
         raise ConfigurationError(f"conditional power must be finite and >= 0, got {y}")
     sigma2 = 0.5 * cfg.tx_snr * clt_psi2(cfg, mode)[i]
     return marcum_q1_complement(math.sqrt(y / sigma2), math.sqrt(g / sigma2))
+
+
+def _qr_rank_ok(rdiag_abs):
+    # the kernels' test, on the pivots |r_kk|^2 that their elimination sees
+    pivots = rdiag_abs**2
+    return pivots.min(axis=1) > RANK_RTOL * pivots.max(axis=1)
+
+
+def _qr_inverse_gram(a, stream=None):
+    """(diag((A^H A)^{-1}), rank-ok flags) for a (count, n, m) stack.
+
+    With ``stream`` given, only that entry is computed: with column i moved
+    last, 1/[(A^H A)^{-1}]_{ii} = |r_mm|^2 is the squared distance of a_i
+    from the span of the other columns. Otherwise entry i is the squared
+    norm of row i of R^{-1}. Flagged trials get g = 1.
+    """
+    m = a.shape[2]
+    if stream is not None:
+        a = a[:, :, [k for k in range(m) if k != stream] + [stream]]
+    r = np.linalg.qr(a, mode="r")
+    d = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    ok = _qr_rank_ok(d)
+    if stream is not None:
+        return 1.0 / np.where(ok, d[:, -1], 1.0) ** 2, ok
+    if not ok.all():
+        r[~ok] = np.eye(m, dtype=r.dtype)
+    return np.sum(np.abs(np.linalg.inv(r)) ** 2, axis=2), ok
+
+
+def _qr_joint(direct, cascade, stream=None):
+    """(|r_ii + q_i^H c_i|^2, rank-ok flags) with H_d = QR, per trial.
+
+    With ``stream`` given, Q is never formed: the R factor of [H_d, c_i]
+    holds R in its first M columns and Q^H c_i in the last, so
+    t_i = R[i, M]. For all streams Q is formed instead.
+    """
+    m = direct.shape[2]
+    if stream is None:
+        q, r = np.linalg.qr(direct)
+        t = np.einsum("bnm,bnm->bm", q.conj(), cascade)
+    else:
+        a = np.concatenate((direct, cascade[:, :, stream:stream + 1]), axis=2)
+        r = np.linalg.qr(a, mode="r")
+        t = r[:, stream, m]
+    rdiag = np.diagonal(r[:, :m, :m], axis1=1, axis2=2)
+    ok = _qr_rank_ok(np.abs(rdiag))
+    if stream is not None:
+        rdiag = rdiag[:, stream]
+    return np.abs(rdiag + t) ** 2, ok
+
+
+def qr_gammas(batch, cfg, schemes, streams=None):
+    """`detectors.batch_gammas` by batched QR factors: the reference the
+    Gram-domain kernels are checked against. Same arguments and (gammas,
+    ok) return, with flagged trials left at whatever the QR gives."""
+    p = cfg.tx_snr
+    cascade = cascade_batch(batch)
+    ok = np.ones(batch.direct.shape[0], dtype=bool)
+    gammas = {}
+    for s in schemes:
+        i = None if streams is None else streams[s]
+        if s is Scheme.Joint:
+            g, k = _qr_joint(batch.direct, cascade, i)
+            gammas[s] = p * g
+        else:
+            a = {
+                Scheme.DirectCsi: batch.direct,
+                Scheme.RisCsi: cascade,
+                Scheme.FullCsi: batch.direct + cascade,
+            }[s]
+            g, k = _qr_inverse_gram(a, i)
+            gammas[s] = p / ((interference_power(cfg, s, p) + 1.0) * g)
+        ok &= k
+    return gammas, ok

@@ -1,5 +1,5 @@
 """Detector SNR kernels: hand-built cases, distributions, an independent
-per-trial oracle, and the one-stream path."""
+per-trial oracle, the QR reference, and the one-stream path."""
 
 import math
 import warnings
@@ -11,6 +11,8 @@ from scipy import stats
 from rismimo.channel import ChannelBatch, SeedSpec, SystemConfig, draw_channel_batch
 from rismimo.detectors import Scheme, batch_gammas, threshold_from_rate
 from rismimo.errors import ConfigurationError
+
+from helpers import qr_gammas
 
 
 ALL = tuple(Scheme)
@@ -200,8 +202,8 @@ PARITY_CONFIGS = (
 @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=lambda c: "x".join(
     str(v) for v in (c.rx_antennas, c.streams, c.ris_elements)))
 def test_single_stream_kernels_match_all_stream_columns(cfg):
-    # the one-R-per-scheme path must reproduce the full inverse-Gram and
-    # explicit-Q results stream by stream, for every scheme
+    # the one-stream path must reproduce the all-stream columns for every
+    # scheme; both run the same elimination, so this checks the stacking
     batch = draw_channel_batch(cfg, SeedSpec(28, 0), 64)
     full, ok_full = batch_gammas(batch, cfg, ALL)
     assert ok_full.all()
@@ -232,6 +234,51 @@ def test_single_stream_kernels_flag_rank_deficient_trials():
         # the direct channel alone is degenerate; the composite ones are not
         bad = {2, 4} if scheme in (Scheme.DirectCsi, Scheme.Joint) else set()
         assert set(np.flatnonzero(~ok)) == bad
+
+
+def test_all_zero_matrix_is_flagged():
+    # a zero matrix has every pivot 0: 0 > RANK_RTOL * 0 must fail
+    cfg = SystemConfig(4, 2, 3)
+    batch = draw_channel_batch(cfg, SeedSpec(26, 0), 6)
+    direct, tx_ris = batch.direct.copy(), batch.tx_ris.copy()
+    direct[1] = 0.0
+    tx_ris[1] = 0.0  # zero cascade, so every scheme's matrix is zero
+    broken = ChannelBatch(direct=direct, ris_rx=batch.ris_rx,
+                          tx_ris=tx_ris, phases=batch.phases)
+    for scheme in ALL:
+        for streams in (None, {scheme: 0}, {scheme: 1}):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gam, ok = batch_gammas(broken, cfg, (scheme,), streams)
+            assert np.flatnonzero(~ok).tolist() == [1], (scheme, streams)
+            assert np.all(np.isfinite(gam[scheme]))
+
+
+QR_CASES = {
+    # L = M: the cascade's Gram is the ill-conditioned case of the squared
+    # formulation
+    "4x2x2": (SystemConfig(4, 2, 2), 64),
+    "32x14x16": (SystemConfig(32, 14, 16, gain_direct=np.linspace(0.4, 1.7, 14),
+                              gain_tx_ris=np.linspace(1.5, 0.3, 14),
+                              gain_ris_rx=0.8, tx_snr=2.0), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QR_CASES))
+def test_kernels_match_qr_reference(case):
+    # the elimination against batched QR, every stream of every scheme on
+    # both paths, with the same rank flags
+    cfg, blocks = QR_CASES[case]
+    for b in range(blocks):
+        batch = draw_channel_batch(cfg, SeedSpec(29, b), 1024)
+        requests = [None] + [dict.fromkeys(ALL, i) for i in range(cfg.streams)]
+        for streams in requests:
+            got, ok = batch_gammas(batch, cfg, ALL, streams)
+            want, want_ok = qr_gammas(batch, cfg, ALL, streams)
+            np.testing.assert_array_equal(ok, want_ok)
+            for scheme in ALL:
+                np.testing.assert_allclose(got[scheme], want[scheme], rtol=1e-9,
+                                           err_msg=f"{scheme} block {b} {streams}")
 
 
 def test_batch_requested_schemes_only():

@@ -1,8 +1,9 @@
 """Golden output: two small fixed-seed CLI runs keep their exact bytes.
 
 The digests were taken with numpy 2.4.6 and its bundled LAPACK. Another
-numpy build may round the QR kernels differently in the last bit, which
-can move an analytic or Monte Carlo value, so the test skips there.
+numpy build may round the Gram products of the detector kernels
+differently in the last bit, which can move an analytic or Monte Carlo
+value, so the test skips there.
 """
 
 import hashlib

@@ -121,6 +121,31 @@ def test_worker_count_does_not_change_results():
     assert [e.probability for e in e1] == [e.probability for e in e2]
 
 
+def test_pool_starts_one_process_per_payload(monkeypatch):
+    # an in-process stand-in records the pool size and starts no process
+    sizes = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
+    trials = 4 * montecarlo.TRIALS_PER_BLOCK
+    a, _ = snr_samples(SMALL, (Scheme.FullCsi,), trials, SeedSpec(77, 0), workers=1)
+    b, _ = snr_samples(SMALL, (Scheme.FullCsi,), trials, SeedSpec(77, 0), workers=64)
+    assert sizes == [4]
+    assert np.array_equal(a[Scheme.FullCsi], b[Scheme.FullCsi])
+
+
 def test_failure_rate_guard():
     _check_failures(0, 10**6)
     _check_failures(1, 10**6)  # exactly at the 1e-6 rate is tolerated
