@@ -10,10 +10,11 @@ with H_d (N x M) the direct links, H (N x L) the surface-to-receiver links,
 G (L x M) the transmitter-to-surface links, all i.i.d. circularly symmetric
 complex Gaussian with per-link variances, and phi uniform on [0, 2pi).
 
-Randomness is counter based: every (master_seed, stream_index) pair selects
-an independent Philox stream, and each complex entry consumes exactly two
-uniforms (polar transform), so a stream's draws are a fixed function of the
-pair regardless of how work is scheduled across processes.
+Randomness is counter based: every (master_seed, stream_index) pair keys
+one Philox stream per draw domain. The entries are NumPy's ziggurat
+normals, one per real or imaginary part, and the phases are uniforms from
+a second domain, both trial-major, so a stream's draws are a fixed
+function of the pair regardless of how work is scheduled across processes.
 """
 
 import math
@@ -34,7 +35,9 @@ SCALE_DERIVED = "derived"
 SCALE_MODES = (SCALE_PAPER, SCALE_DERIVED)
 DEFAULT_SCALE_MODE = SCALE_DERIVED
 
-_DOMAIN_CHANNEL = 0
+_DOMAIN_ENTRIES = 0    # draw domain of the channel entries
+_DOMAIN_PHASES = 1     # of the surface phases
+_DOMAIN_SURROGATE = 2  # of the Gaussian stand-in of the cascade (tests)
 _STREAM_BITS = 56
 
 
@@ -134,45 +137,35 @@ class ChannelBatch:
 
 
 def uniforms_per_trial(cfg):
-    """Raw uniform draws one trial consumes; fixed so streams stay aligned."""
+    """Variates per trial: two normals per entry and a uniform per phase."""
     n, m, l = cfg.rx_antennas, cfg.streams, cfg.ris_elements
     return 2 * n * m + 2 * n * l + 2 * l * m + l
 
 
-def _polar_complex(u, variance):
-    """Map uniform pairs to CN(0, variance) entries.
-
-    z = sqrt(-variance * ln(1 - u1)) * exp(2j pi u2); exactly two uniforms
-    per entry. 1 - u1 keeps the log argument in (0, 1].
-    """
-    radius = np.sqrt(-variance * np.log1p(-u[..., 0]))
-    return radius * np.exp(2j * np.pi * u[..., 1])
+def _complex_normals(gen, shape):
+    """CN(0, 2) entries: ziggurat N(0, 1) real and imaginary parts, in turn."""
+    return gen.standard_normal((*shape[:-1], 2 * shape[-1])).view(np.complex128)
 
 
 def draw_channel_batch(cfg, seed, count):
     """Draw `count` i.i.d. realizations from one substream.
 
-    The uniform block is laid out trial-major, so a shorter batch from the
-    same (seed, stream) is a prefix of a longer one and per-trial content
-    never depends on the batch split.
+    Entries and phases are laid out trial-major, so a shorter batch from
+    the same (seed, stream) is a prefix of a longer one and per-trial
+    content never depends on the batch split.
     """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     n, m, l = cfg.rx_antennas, cfg.streams, cfg.ris_elements
-    gen = _generator(seed, _DOMAIN_CHANNEL)
-    u = gen.random((count, uniforms_per_trial(cfg)))
-    o1 = 2 * n * m
-    o2 = o1 + 2 * n * l
-    o3 = o2 + 2 * l * m
-    direct = _polar_complex(
-        u[:, :o1].reshape(count, n, m, 2), cfg.gain_direct[np.newaxis, np.newaxis, :]
+    gen = _generator(seed, _DOMAIN_ENTRIES)
+    z = _complex_normals(gen, (count, n * m + n * l + l * m))
+    d, h, g = np.split(z, (n * m, n * m + n * l), axis=1)
+    return ChannelBatch(
+        direct=d.reshape(count, n, m) * np.sqrt(0.5 * cfg.gain_direct),
+        ris_rx=h.reshape(count, n, l) * math.sqrt(0.5 * cfg.gain_ris_rx),
+        tx_ris=g.reshape(count, l, m) * np.sqrt(0.5 * cfg.gain_tx_ris),
+        phases=2.0 * np.pi * _generator(seed, _DOMAIN_PHASES).random((count, l)),
     )
-    ris_rx = _polar_complex(u[:, o1:o2].reshape(count, n, l, 2), cfg.gain_ris_rx)
-    tx_ris = _polar_complex(
-        u[:, o2:o3].reshape(count, l, m, 2), cfg.gain_tx_ris[np.newaxis, np.newaxis, :]
-    )
-    phases = 2.0 * np.pi * u[:, o3:]
-    return ChannelBatch(direct, ris_rx, tx_ris, phases)
 
 
 def cascade_batch(batch):

@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from .channel import DEFAULT_SCALE_MODE, SCALE_MODES, SeedSpec, SystemConfig
@@ -303,8 +304,11 @@ def run(manifest):
     """Execute a manifest: sweep, write the output file, print a summary.
 
     Returns a process exit status (0 ok, 2 configuration, 3 numerics,
-    4 file I/O)."""
+    4 file I/O); a missing or read-only output directory fails before the sweep."""
     try:
+        folder = os.path.dirname(os.path.abspath(manifest.output))
+        if not os.access(folder, os.W_OK):
+            raise OSError(f"output directory missing or not writable: {folder}")
         curve = run_sweep(
             manifest.config,
             manifest.sweep,

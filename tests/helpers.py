@@ -15,8 +15,9 @@ import numpy as np
 from rismimo.analytic import _check_stream, _check_threshold
 from rismimo.channel import (
     DEFAULT_SCALE_MODE,
+    _DOMAIN_SURROGATE,
+    _complex_normals,
     _generator,
-    _polar_complex,
     cascade_batch,
     clt_psi2,
 )
@@ -30,9 +31,6 @@ from rismimo.montecarlo import (
     threshold_at_unit_snr,
 )
 from rismimo.specfun import marcum_q1_complement
-
-# draw domain of the surrogate; the channel draws use domain 0
-_DOMAIN_SURROGATE = 1
 
 
 def composite_batch(batch):
@@ -58,8 +56,7 @@ def clt_surrogate(cfg, seed, mode=DEFAULT_SCALE_MODE):
     psi2 = clt_psi2(cfg, mode)
     n, m = cfg.rx_antennas, cfg.streams
     gen = _generator(seed, _DOMAIN_SURROGATE)
-    u = gen.random((n, m, 2))
-    matrix = _polar_complex(u, psi2[np.newaxis, :])
+    matrix = _complex_normals(gen, (n, m)) * np.sqrt(0.5 * psi2)
     return CltSurrogate(matrix, psi2, mode)
 
 

@@ -8,10 +8,14 @@ import pytest
 from scipy import stats
 
 from rismimo.channel import (
+    _DOMAIN_ENTRIES,
+    _DOMAIN_PHASES,
+    _DOMAIN_SURROGATE,
     SCALE_DERIVED,
     SCALE_PAPER,
     SeedSpec,
     SystemConfig,
+    _generator,
     clt_psi2,
     cascade_batch,
     draw_channel_batch,
@@ -103,6 +107,24 @@ def test_single_draw_matches_batch_head():
     assert np.array_equal(one.phases, batch.phases[:1])
 
 
+def test_draw_domains_are_distinct():
+    tags = (_DOMAIN_ENTRIES, _DOMAIN_PHASES, _DOMAIN_SURROGATE)
+    assert len(set(tags)) == len(tags)
+    seed = SeedSpec(55, 4)
+    heads = [_generator(seed, tag).random(4) for tag in tags]
+    assert not np.array_equal(heads[0], heads[1])
+    assert not np.array_equal(heads[0], heads[2])
+    assert not np.array_equal(heads[1], heads[2])
+    # the phases are not the entries' stream, and the surrogate, drawn by
+    # the same normal map as H_d, is not H_d rescaled
+    cfg = SystemConfig(3, 2, 4, gain_direct=(0.5, 2.0))
+    batch = draw_channel_batch(cfg, seed, 1)
+    assert not np.allclose(batch.phases[0] / (2.0 * math.pi), heads[0])
+    sur = clt_surrogate(cfg, seed)
+    assert not np.allclose(sur.matrix / np.sqrt(sur.psi2),
+                           batch.direct[0] / np.sqrt(cfg.gain_direct))
+
+
 def test_uniforms_per_trial_formula():
     n, m, l = CFG.rx_antennas, CFG.streams, CFG.ris_elements
     assert uniforms_per_trial(CFG) == 2 * n * m + 2 * n * l + 2 * l * m + l
@@ -123,6 +145,35 @@ def test_entry_moments():
     assert abs(entries.mean()) < 0.01
     corr = np.corrcoef(entries.real, entries.imag)[0, 1]
     assert abs(corr) < 0.01
+
+
+def test_link_column_variances_follow_stream_gains():
+    # L = M, so gains broadcast along the wrong axis of tx_ris would not raise
+    cfg = SystemConfig(3, 3, 3, gain_tx_ris=(0.5, 1.0, 3.0), gain_ris_rx=0.7)
+    batch = draw_channel_batch(cfg, SeedSpec(43, 0), 100_000)
+    power = np.abs(batch.tx_ris) ** 2
+    assert np.allclose(power.mean(axis=(0, 1)), [0.5, 1.0, 3.0], rtol=0.02)
+    assert np.allclose(power.mean(axis=(0, 2)), 1.5, rtol=0.02)
+    assert np.allclose(np.mean(np.abs(batch.ris_rx) ** 2, axis=(0, 1)), 0.7, rtol=0.02)
+
+
+def test_link_entries_gaussian():
+    cfg = SystemConfig(4, 2, 3, gain_tx_ris=(0.4, 2.5), gain_ris_rx=0.7)
+    batch = draw_channel_batch(cfg, SeedSpec(44, 0), 20_000)
+    for x, var in ((batch.ris_rx[:, 2, 1], 0.7), (batch.tx_ris[:, 1, 1], 2.5)):
+        for part in (x.real, x.imag):
+            res = stats.kstest(part, stats.norm(scale=math.sqrt(var / 2)).cdf)
+            assert res.pvalue > 0.01
+
+
+def test_phases_uncorrelated_with_entries():
+    count = 100_000
+    batch = draw_channel_batch(CFG, SeedSpec(45, 0), count)
+    bound = 5.0 / math.sqrt(count)
+    for phi in batch.phases.T:
+        for x in (batch.direct[:, 0, 0], batch.ris_rx[:, 3, 2], batch.tx_ris[:, 2, 1]):
+            for v in (x.real, x.imag, np.abs(x) ** 2):
+                assert abs(np.corrcoef(phi, v)[0, 1]) < bound
 
 
 def test_phases_uniform():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rismimo
-from rismimo import analytic
+from rismimo import analytic, cli
 from rismimo.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -245,6 +245,17 @@ def test_exit_code_for_unwritable_output(tmp_path, capsys):
     status, _ = _run_small(tmp_path, "ignored.csv",
                            ("--output", str(tmp_path / "no" / "dir" / "x.csv")))
     assert status == EXIT_IO
+    assert "i/o error" in capsys.readouterr().err
+
+
+def test_unwritable_output_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep ran before the output was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    missing = tmp_path / "no" / "dir" / "x.csv"
+    argv = ["--preset", "fig1", "--trials", "20480", "--output", str(missing)]
+    assert main(argv) == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
 
 
