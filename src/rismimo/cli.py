@@ -1,6 +1,10 @@
 """Command-line front end: scenario configs, figure presets, sweep runs,
 pilot-overhead reporting, and CSV/JSON emission.
 
+One table, FLAGS, names every flag and config-file key with the converter
+that checks it.  Explicit flags, config files, presets and defaults are all
+dicts of flag values run through those converters, layered in that order.
+
 Everything result-determining lives in the RunManifest and is echoed into
 the output header, so a run can be reproduced from its own file.  Worker
 count is deliberately not part of the manifest: block-indexed substreams
@@ -29,9 +33,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
-
-DEFAULT_TRIALS = 1_000_000
-DEFAULT_SEED = 0
 
 CSV_COLUMNS = (
     "scheme",
@@ -72,6 +73,8 @@ class RunManifest:
 
 
 def _grid(start, stop, step):
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigurationError(f"grid values must be finite, got {start}:{stop}:{step}")
     if step <= 0:
         raise ConfigurationError(f"grid step must be > 0, got {step}")
     if stop < start:
@@ -123,9 +126,14 @@ def _parse_int(text):
         raise ConfigurationError(f"expected an integer, got {text!r}") from None
 
 
+def _parse_float(text):
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigurationError(f"expected a number, got {text!r}") from None
+
+
 def _parse_bool(text):
-    if isinstance(text, bool):
-        return text
     t = str(text).strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
@@ -134,56 +142,68 @@ def _parse_bool(text):
     raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
-def preset_fig1(l):
-    """Reference scenario: 32 antennas, 12 streams, unit gains, rate 3,
-    SNR swept over the low-to-moderate range, all four schemes."""
-    if l not in (16, 32):
-        raise ConfigurationError(f"this preset supports l in {{16, 32}}, got {l}")
-    cfg = SystemConfig(rx_antennas=32, streams=12, ris_elements=l, tx_snr=1.0, rate=3.0)
-    schemes = canonical_schemes(Scheme)
-    return RunManifest(
-        config=cfg,
-        sweep=SweepSpec("snr_db", _grid(-10.0, 10.0, 1.0)),
-        schemes=schemes,
-        trials=DEFAULT_TRIALS,
-        master_seed=DEFAULT_SEED,
-        scale_mode=DEFAULT_SCALE_MODE,
-        joint_method=DEFAULT_JOINT_METHOD,
-        stream=resolve_streams(cfg, schemes),
-        workers=1,
-        output="outage_snr_db.csv",
-        fmt="csv",
-    )
+def _choice(values):
+    """Converter that accepts exactly one of ``values``; its metavar lists them."""
+
+    def convert(text):
+        if text not in values:
+            raise ConfigurationError(f"expected one of {', '.join(values)}, got {text!r}")
+        return text
+
+    convert.metavar = "{" + ",".join(values) + "}"
+    return convert
 
 
-def preset_fig2(gain_d=0.7):
-    """Rate-sweep scenario: 32 antennas, 14 streams, 16 elements, RIS-link
-    variances 0.7, transmit SNR fixed at 3 dB.  The direct-link variance
-    is a parameter (default 0.7, matching the weaker-direct-path case)."""
-    cfg = SystemConfig(
-        rx_antennas=32,
-        streams=14,
-        ris_elements=16,
-        tx_snr=10.0**0.3,
-        rate=3.0,
-        gain_direct=gain_d,
-        gain_tx_ris=0.7,
-        gain_ris_rx=0.7,
-    )
-    schemes = canonical_schemes(Scheme)
-    return RunManifest(
-        config=cfg,
-        sweep=SweepSpec("rate", _grid(0.5, 6.0, 0.5)),
-        schemes=schemes,
-        trials=DEFAULT_TRIALS,
-        master_seed=DEFAULT_SEED,
-        scale_mode=DEFAULT_SCALE_MODE,
-        joint_method=DEFAULT_JOINT_METHOD,
-        stream=resolve_streams(cfg, schemes),
-        workers=1,
-        output="outage_rate.csv",
-        fmt="csv",
-    )
+# Named scenarios, each exactly the flag values it lists.  fig1 is outage
+# against transmit SNR, run with l 16 or 32; fig2 is outage against target
+# rate at 3 dB.
+PRESETS = {
+    "fig1": {"n": "32", "m": "12", "l": "16", "snr_db": "-10:10:1"},
+    "fig2": {"n": "32", "m": "14", "l": "16", "gain_d": "0.7", "gain_g": "0.7",
+             "gain_h": "0.7", "rate": "0.5:6:0.5", "snr_db_fixed": "3"},
+}
+FIG1_ELEMENTS = (16, 32)
+
+DEFAULTS = {
+    "snr_db": "-10:10:1", "rate_fixed": "3", "snr_db_fixed": "0",
+    "gain_d": "1", "gain_g": "1", "gain_h": "1",
+    "schemes": ",".join(s.value for s in Scheme), "trials": "1000000", "seed": "0",
+    "scale_mode": DEFAULT_SCALE_MODE, "joint_method": DEFAULT_JOINT_METHOD,
+    "workers": "1", "format": "csv",
+}
+
+# name -> (converter, help) of every flag, and of the config-file key of the
+# same name; a converter raises ConfigurationError on a value it rejects.
+FLAGS = {
+    "preset": (_choice(tuple(PRESETS)), "named scenario, exactly these flag values, "
+               "which flags and config keys override: " + "; ".join(
+                   f"{name}: " + " ".join(f"{k}={x}" for k, x in values.items())
+                   for name, values in PRESETS.items())),
+    "n": (_parse_int, "receive antennas"),
+    "m": (_parse_int, "transmit streams"),
+    "l": (_parse_int, "surface elements"),
+    "snr_db": (parse_grid, "sweep transmit SNR in dB: inclusive START:STOP:STEP "
+               "grid, or one value"),
+    "rate": (parse_grid, "sweep target rate in bit/s/Hz: START:STOP:STEP, or one value"),
+    "rate_fixed": (_parse_float, "rate held fixed during an SNR sweep"),
+    "snr_db_fixed": (_parse_float, "transmit SNR in dB held fixed during a rate sweep"),
+    "gain_d": (parse_gains, "direct-link variance, scalar or per-stream comma list"),
+    "gain_g": (parse_gains,
+               "transmitter-to-surface variance, scalar or per-stream comma list"),
+    "gain_h": (_parse_float, "surface-to-receiver variance, a scalar"),
+    "schemes": (parse_schemes, "comma list out of d,ris,full,joint"),
+    "trials": (_parse_int, "Monte Carlo trials per sweep"),
+    "seed": (_parse_int, "master seed"),
+    "scale_mode": (_choice(SCALE_MODES), "cascade surrogate variance convention"),
+    "joint_method": (_choice(JOINT_METHODS), "joint-detector outage evaluation"),
+    "stream": (_parse_int, "report this stream for every scheme "
+               "(default: 0, and the last stream for the joint detector)"),
+    "workers": (_parse_int, "parallel worker processes; any count gives the same results"),
+    "output": (str, "output file path (default outage_<sweep>.<format>)"),
+    "format": (_choice(("csv", "json")), "output file format"),
+    "overhead_report": (_parse_bool,
+                        "print pilot-overhead channel uses for the config and exit"),
+}
 
 
 def pilot_overhead_counts(n, m, l):
@@ -339,31 +359,6 @@ def run(manifest):
     return EXIT_OK
 
 
-_CONVERTERS = {
-    "preset": str,
-    "n": _parse_int,
-    "m": _parse_int,
-    "l": _parse_int,
-    "snr_db": parse_grid,
-    "rate": parse_grid,
-    "rate_fixed": float,
-    "snr_db_fixed": float,
-    "gain_d": parse_gains,
-    "gain_g": parse_gains,
-    "gain_h": float,
-    "schemes": parse_schemes,
-    "trials": _parse_int,
-    "seed": _parse_int,
-    "scale_mode": str,
-    "joint_method": str,
-    "stream": _parse_int,
-    "workers": _parse_int,
-    "output": str,
-    "format": str,
-    "overhead_report": _parse_bool,
-}
-
-
 def _flag_type(convert):
     """A converter as an argparse type. argparse prints the text of an
     ArgumentTypeError but replaces a ValueError's with the type's name."""
@@ -378,195 +373,111 @@ def _flag_type(convert):
 
 
 def _build_parser():
-    as_int, as_grid, as_gains, as_schemes = map(
-        _flag_type, (_parse_int, parse_grid, parse_gains, parse_schemes)
-    )
     ap = argparse.ArgumentParser(
         prog="rismimo",
         exit_on_error=False,
         description="Outage-probability simulator for a blind-RIS multiuser "
         "MIMO uplink: Monte Carlo plus closed forms for four detectors.",
     )
-    ap.add_argument("--preset", choices=("fig1", "fig2"), default=None,
-                    help="named scenario; individual flags override its fields")
-    ap.add_argument("--n", type=as_int, default=None, help="receive antennas")
-    ap.add_argument("--m", type=as_int, default=None, help="transmit streams")
-    ap.add_argument("--l", type=as_int, default=None, help="surface elements")
-    ap.add_argument("--snr-db", type=as_grid, default=None, metavar="START:STOP:STEP",
-                    help="sweep transmit SNR in dB (inclusive grid, or one value)")
-    ap.add_argument("--rate", type=as_grid, default=None, metavar="START:STOP:STEP",
-                    help="sweep target rate in bit/s/Hz")
-    ap.add_argument("--rate-fixed", type=float, default=None,
-                    help="rate held fixed during an SNR sweep (default 3)")
-    ap.add_argument("--snr-db-fixed", type=float, default=None,
-                    help="transmit SNR in dB held fixed during a rate sweep (default 0)")
-    ap.add_argument("--gain-d", type=as_gains, default=None,
-                    help="direct-link variance, scalar or per-stream comma list")
-    ap.add_argument("--gain-g", type=as_gains, default=None,
-                    help="transmitter-to-surface variance, scalar or per-stream comma list")
-    ap.add_argument("--gain-h", type=float, default=None,
-                    help="surface-to-receiver variance (scalar)")
-    ap.add_argument("--schemes", type=as_schemes, default=None,
-                    help="comma list out of d,ris,full,joint (default: all)")
-    ap.add_argument("--trials", type=as_int, default=None,
-                    help=f"Monte Carlo trials per sweep (default {DEFAULT_TRIALS})")
-    ap.add_argument("--seed", type=as_int, default=None,
-                    help=f"master seed (default {DEFAULT_SEED})")
-    ap.add_argument("--scale-mode", choices=SCALE_MODES, default=None,
-                    help=f"cascade surrogate variance convention (default {DEFAULT_SCALE_MODE})")
-    ap.add_argument("--joint-method", choices=JOINT_METHODS, default=None,
-                    help=f"joint-detector outage evaluation (default {DEFAULT_JOINT_METHOD})")
-    ap.add_argument("--stream", type=as_int, default=None,
-                    help="report this stream for every scheme "
-                    "(default: 0, and the last stream for the joint detector)")
-    ap.add_argument("--workers", type=as_int, default=None,
-                    help="parallel worker processes (default 1; results identical)")
-    ap.add_argument("--output", default=None, help="output file path")
-    ap.add_argument("--format", choices=("csv", "json"), default=None)
-    ap.add_argument("--overhead-report", action="store_true", default=None,
-                    help="print pilot-overhead channel uses for the config and exit")
-    ap.add_argument("--config", default=None, metavar="FILE",
+    for name, (convert, text) in FLAGS.items():
+        flag = "--" + name.replace("_", "-")
+        if name in DEFAULTS:
+            text += f" (default {DEFAULTS[name]})"
+        if convert is _parse_bool:
+            ap.add_argument(flag, action="store_true", default=None, help=text)
+        else:
+            ap.add_argument(flag, type=_flag_type(convert), help=text,
+                            metavar=getattr(convert, "metavar", None))
+    ap.add_argument("--config", metavar="FILE",
                     help="flat key=value file supplying any of the above flags")
     return ap
 
 
 def _read_config_file(path):
+    """Flag values from a key=value file, each checked by its flag's converter."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
+            where = f"{path}:{lineno}"
             if "=" not in line:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected key=value, got {line!r}"
-                )
+                raise ConfigurationError(f"{where}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
             if key == "config":
-                raise ConfigurationError(f"{path}:{lineno}: nested config files")
-            if key not in _CONVERTERS:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _CONVERTERS[key](value)
+                raise ConfigurationError(f"{where}: nested config files")
+            if key not in FLAGS:
+                raise ConfigurationError(f"{where}: unknown key {key!r}")
+            try:
+                out[key] = FLAGS[key][0](value)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{where}: {key}: {exc}") from None
     return out
 
 
 def build_manifest(ns, file_values):
-    """Resolve precedence (explicit flag > config file > preset > default)
-    into a RunManifest."""
+    """Layer defaults < preset < config file < explicit flags into a
+    RunManifest.  A layer that sets a sweep (snr_db or rate) replaces the
+    sweep of the layers below it."""
+    given = dict(file_values)
+    given.update((k, x) for k, x in vars(ns).items() if x is not None and k != "config")
+    layers = [{k: FLAGS[k][0](text) for k, text in texts.items()}
+              for texts in (DEFAULTS, PRESETS.get(given.get("preset"), {}))]
+    v = {}
+    for layer in layers + [given]:
+        if {"snr_db", "rate"} & layer.keys():
+            v.pop("snr_db", None)
+            v.pop("rate", None)
+        v.update(layer)
 
-    def pick(name, default=None):
-        v = getattr(ns, name)
-        if v is None:
-            v = file_values.get(name)
-        return default if v is None else v
-
-    preset_name = pick("preset")
-    if preset_name == "fig1":
-        base = preset_fig1(pick("l", 16))
-    elif preset_name == "fig2":
-        base = preset_fig2(pick("gain_d", 0.7))
-    elif preset_name is None:
-        base = None
-    else:
-        raise ConfigurationError(f"unknown preset {preset_name!r}")
-
-    if base is not None:
-        cfg = base.config
-        n = pick("n", cfg.rx_antennas)
-        m = pick("m", cfg.streams)
-        l = pick("l", cfg.ris_elements)
-        gain_d = pick("gain_d", tuple(cfg.gain_direct))
-        gain_g = pick("gain_g", tuple(cfg.gain_tx_ris))
-        gain_h = pick("gain_h", cfg.gain_ris_rx)
-    else:
-        n, m, l = pick("n"), pick("m"), pick("l")
-        if None in (n, m, l):
-            raise ConfigurationError(
-                "provide --preset, or all of --n, --m and --l"
-            )
-        gain_d = pick("gain_d", 1.0)
-        gain_g = pick("gain_g", 1.0)
-        gain_h = pick("gain_h", 1.0)
-
-    snr_grid = pick("snr_db")
-    rate_grid = pick("rate")
-    if snr_grid is not None and rate_grid is not None:
+    if not {"n", "m", "l"} <= v.keys():
+        raise ConfigurationError("provide --preset, or all of --n, --m and --l")
+    if v.get("preset") == "fig1" and v["l"] not in FIG1_ELEMENTS:
+        raise ConfigurationError(f"preset fig1 needs l in {FIG1_ELEMENTS}, got {v['l']}")
+    if "snr_db" in v and "rate" in v:
         raise ConfigurationError("sweep either --snr-db or --rate, not both")
-    if snr_grid is None and rate_grid is None:
-        if base is not None:
-            sweep = base.sweep
-        else:
-            sweep = SweepSpec("snr_db", _grid(-10.0, 10.0, 1.0))
-    elif snr_grid is not None:
-        sweep = SweepSpec("snr_db", snr_grid)
+    if "rate" in v:
+        sweep = SweepSpec("rate", v["rate"])
+        tx_snr, rate = 10.0 ** (v["snr_db_fixed"] / 10.0), sweep.values[0]
     else:
-        sweep = SweepSpec("rate", rate_grid)
-
-    if sweep.variable == "snr_db":
-        rate_fixed = pick("rate_fixed")
-        if rate_fixed is None:
-            rate_fixed = base.config.rate if base is not None else 3.0
         # tx_snr is swept per point; the stored value is the first grid point.
-        tx_snr = 10.0 ** (sweep.values[0] / 10.0)
-    else:
-        snr_fixed = pick("snr_db_fixed")
-        if snr_fixed is None:
-            snr_fixed = (
-                10.0 * math.log10(base.config.tx_snr) if base is not None else 0.0
-            )
-        tx_snr = 10.0 ** (snr_fixed / 10.0)
-        rate_fixed = sweep.values[0]
+        sweep = SweepSpec("snr_db", v["snr_db"])
+        tx_snr, rate = 10.0 ** (sweep.values[0] / 10.0), v["rate_fixed"]
 
     cfg = SystemConfig(
-        rx_antennas=n,
-        streams=m,
-        ris_elements=l,
+        rx_antennas=v["n"],
+        streams=v["m"],
+        ris_elements=v["l"],
         tx_snr=tx_snr,
-        rate=rate_fixed,
-        gain_direct=gain_d,
-        gain_tx_ris=gain_g,
-        gain_ris_rx=gain_h,
+        rate=rate,
+        gain_direct=v["gain_d"],
+        gain_tx_ris=v["gain_g"],
+        gain_ris_rx=v["gain_h"],
     )
-
-    schemes = pick("schemes", base.schemes if base else canonical_schemes(Scheme))
-    scale_mode = pick("scale_mode", base.scale_mode if base else DEFAULT_SCALE_MODE)
-    if scale_mode not in SCALE_MODES:
-        raise ConfigurationError(f"scale_mode must be one of {SCALE_MODES}")
-    joint_method = pick(
-        "joint_method", base.joint_method if base else DEFAULT_JOINT_METHOD
-    )
-    if joint_method not in JOINT_METHODS:
-        raise ConfigurationError(f"joint_method must be one of {JOINT_METHODS}")
-    fmt = pick("format", base.fmt if base else "csv")
-    output = pick("output", f"outage_{sweep.variable}.{fmt}")
-    trials = pick("trials", base.trials if base else DEFAULT_TRIALS)
-    seed = pick("seed", base.master_seed if base else DEFAULT_SEED)
-    workers = pick("workers", 1)
-    stream = pick("stream")
-
     return RunManifest(
         config=cfg,
         sweep=sweep,
-        schemes=schemes,
-        trials=trials,
-        master_seed=seed,
-        scale_mode=scale_mode,
-        joint_method=joint_method,
-        stream=resolve_streams(cfg, schemes, stream),
-        workers=workers,
-        output=output,
-        fmt=fmt,
+        schemes=v["schemes"],
+        trials=v["trials"],
+        master_seed=v["seed"],
+        scale_mode=v["scale_mode"],
+        joint_method=v["joint_method"],
+        stream=resolve_streams(cfg, v["schemes"], v.get("stream")),
+        workers=v["workers"],
+        output=v.get("output", f"outage_{sweep.variable}.{v['format']}"),
+        fmt=v["format"],
     )
 
 
 def main(argv=None):
-    ap = _build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
         file_values = _read_config_file(ns.config) if ns.config else {}
+        manifest = build_manifest(ns, file_values)
         if ns.overhead_report or file_values.get("overhead_report"):
-            cfg = build_manifest(ns, file_values).config
+            cfg = manifest.config
             full, direct = pilot_overhead_counts(
                 cfg.rx_antennas, cfg.streams, cfg.ris_elements
             )
@@ -576,7 +487,6 @@ def main(argv=None):
                 f"every link {full} channel uses, direct link only {direct}"
             )
             return EXIT_OK
-        manifest = build_manifest(ns, file_values)
     except (ConfigurationError, argparse.ArgumentError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

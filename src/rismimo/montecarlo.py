@@ -334,14 +334,6 @@ def run_sweep(
     schemes = canonical_schemes(schemes)
     trials = _validate_trials(trials)
     streams = resolve_streams(cfg, schemes, stream)
-    if (
-        Scheme.Joint in schemes
-        and joint_method == analytic.JOINT_PRINTED
-        and scale_mode != "paper"
-    ):
-        raise ConfigurationError(
-            "the printed closed form is only meaningful with scale_mode='paper'"
-        )
 
     # Closed forms first, so a failing law stops the run before the Monte
     # Carlo work instead of after it.

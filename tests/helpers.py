@@ -1,6 +1,7 @@
 """Code that only the tests use: the per-stream outage estimator, the
 composite channel, the Gaussian cascade surrogate, the conditional
-joint-detection law and the QR formulation of the detector kernels.
+joint-detection law, the QR formulation of the detector kernels and the
+manifest the CLI builds from its arguments.
 
 Each is built from the package's own pieces, so what it checks is the
 package: the same block loop, draws, threshold map and special functions
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from rismimo import cli
 from rismimo.analytic import _check_stream, _check_threshold
 from rismimo.channel import (
     DEFAULT_SCALE_MODE,
@@ -173,3 +175,8 @@ def qr_gammas(batch, cfg, schemes, streams=None):
             gammas[s] = p / ((interference_power(cfg, s, p) + 1.0) * g)
         ok &= k
     return gammas, ok
+
+
+def cli_manifest(*argv):
+    """The RunManifest the CLI resolves from ``argv``, without a config file."""
+    return cli.build_manifest(cli._build_parser().parse_args(argv), {})

@@ -24,12 +24,11 @@ from rismimo.channel import (
     clt_psi2,
     draw_channel_batch,
 )
-from rismimo.cli import preset_fig1, preset_fig2
 from rismimo.detectors import Scheme, batch_gammas, threshold_from_rate
 from rismimo.errors import ConfigurationError, NumericError
 from rismimo.specfun import QuadratureSpec, adaptive_quad, marcum_q1_complement
 
-from helpers import estimate_outage, outage_joint_conditional
+from helpers import cli_manifest, estimate_outage, outage_joint_conditional
 
 
 def _mc_outage(cfg, scheme, gamma_th, trials, seed, stream=0):
@@ -195,8 +194,9 @@ def _figure_points(manifest):
 
 
 def test_joint_paper_series_matches_quadrature_on_figure_grids():
-    for manifest in (preset_fig1(16), preset_fig1(32), preset_fig2()):
-        for cfg, g in _figure_points(manifest):
+    for argv in (("--preset", "fig1"), ("--preset", "fig1", "--l", "32"),
+                 ("--preset", "fig2")):
+        for cfg, g in _figure_points(cli_manifest(*argv)):
             for i in (0, cfg.streams - 1):
                 got = outage_joint(cfg, i, g, mode=SCALE_PAPER, method=JOINT_QUADRATURE)
                 want = _joint_paper_by_quadrature(cfg, i, g)

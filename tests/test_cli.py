@@ -22,15 +22,15 @@ from rismimo.cli import (
     parse_grid,
     parse_schemes,
     pilot_overhead_counts,
-    preset_fig1,
-    preset_fig2,
 )
 from rismimo.detectors import Scheme
 from rismimo.errors import ConfigurationError
 
+from helpers import cli_manifest
+
 
 def test_preset_snr_sweep_structure():
-    man = preset_fig1(16)
+    man = cli_manifest("--preset", "fig1")
     cfg = man.config
     assert (cfg.rx_antennas, cfg.streams, cfg.ris_elements) == (32, 12, 16)
     assert cfg.rate == 3.0
@@ -45,13 +45,15 @@ def test_preset_snr_sweep_structure():
     assert man.trials == 1_000_000
     assert man.stream[Scheme.Joint] == 11
     assert man.stream[Scheme.FullCsi] == 0
-    assert preset_fig1(32).config.ris_elements == 32
+    assert cli_manifest("--preset", "fig1", "--l", "32").config.ris_elements == 32
+    # the preset sets scalar gains, so a different stream count fits them
+    assert cli_manifest("--preset", "fig1", "--m", "4").config.streams == 4
     with pytest.raises(ConfigurationError):
-        preset_fig1(17)
+        cli_manifest("--preset", "fig1", "--l", "17")
 
 
 def test_preset_rate_sweep_structure():
-    man = preset_fig2()
+    man = cli_manifest("--preset", "fig2")
     cfg = man.config
     assert (cfg.rx_antennas, cfg.streams, cfg.ris_elements) == (32, 14, 16)
     assert cfg.gain_ris_rx == 0.7
@@ -60,8 +62,14 @@ def test_preset_rate_sweep_structure():
     assert cfg.tx_snr == pytest.approx(10.0**0.3)
     assert man.sweep.variable == "rate"
     assert man.sweep.values == tuple(np.arange(1, 13) * 0.5)
+    assert man.schemes == tuple(Scheme)
+    assert man.trials == 1_000_000
     # the equal-gains variant
-    assert np.allclose(preset_fig2(1.0).config.gain_direct, 1.0)
+    equal = cli_manifest("--preset", "fig2", "--gain-d", "1")
+    assert np.allclose(equal.config.gain_direct, 1.0)
+    # an explicit sweep replaces the preset's
+    snr = cli_manifest("--preset", "fig2", "--snr-db", "3").sweep
+    assert (snr.variable, snr.values) == ("snr_db", (3.0,))
 
 
 def test_pilot_overhead_counts():
@@ -79,7 +87,8 @@ def test_parse_grid():
     assert parse_grid("-10:10:5") == (-10.0, -5.0, 0.0, 5.0, 10.0)
     assert parse_grid("0:1:0.3") == pytest.approx((0.0, 0.3, 0.6, 0.9))
     assert parse_grid("2:2:1") == (2.0,)
-    for bad in ("a", "1:2", "1:2:3:4", "0:5:0", "5:0:1"):
+    for bad in ("a", "1:2", "1:2:3:4", "0:5:0", "5:0:1",
+                "0:inf:1", "nan:1:1", "0:1:nan"):
         with pytest.raises(ConfigurationError):
             parse_grid(bad)
 
@@ -296,6 +305,30 @@ def test_config_file_rejects_unknown_and_nested_keys(tmp_path, capsys):
     noequals.write_text("trials\n")
     assert main(["--config", str(noequals)]) == EXIT_CONFIG
     capsys.readouterr()
+
+
+def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
+    for line in ("format = xml", "scale_mode = bogus", "rate_fixed = abc",
+                 "snr_db = nan:1:1"):
+        cfgfile = tmp_path / "bad.conf"
+        cfgfile.write_text(f"n = 6\nm = 2\nl = 2\n{line}\n")
+        assert main(["--config", str(cfgfile), "--output",
+                     str(tmp_path / "bad.xml")]) == EXIT_CONFIG, line
+        assert not (tmp_path / "bad.xml").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: "), err
+        assert f"{cfgfile}:4: {line.split()[0]}: " in err, err
+        assert "Traceback" not in err, err
+
+
+def test_help_lists_every_choice_set(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    for choices in ("{fig1,fig2}", "{paper,derived}", "{printed,quadrature}",
+                    "{csv,json}"):
+        assert choices in out, choices
 
 
 def test_missing_config_file_is_io_error(tmp_path, capsys):

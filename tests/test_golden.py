@@ -1,9 +1,12 @@
-"""Golden output: two small fixed-seed CLI runs keep their exact bytes.
+"""Golden output: small fixed-seed CLI runs keep their exact bytes.
 
 Each run pins two SHA-256 digests. LAWS covers the file with the Monte
 Carlo columns taken out, so it moves only when a law, a threshold or the
-format does; it was taken before the channel draw moved to ziggurat
-normals and held across that change. SHA256 covers the whole file.
+format does; the three plain runs' LAWS were taken before the channel draw
+moved to ziggurat normals and held across that change. The fig1-preset
+and rate-sweep digests were taken before the flags, presets and config
+keys moved to one table and held across that change. SHA256 covers the
+whole file.
 
 The digests were taken with numpy 2.4.6 and its bundled LAPACK. The
 ziggurat normals are numpy's `Generator.standard_normal`, which another
@@ -22,11 +25,18 @@ from rismimo.cli import EXIT_OK, main
 
 PINNED_NUMPY = "2.4.6"
 
+# the fig2 preset spelled out as flags
+FIG2_FLAGS = ("--n", "32", "--m", "14", "--l", "16", "--gain-d", "0.7",
+              "--gain-g", "0.7", "--gain-h", "0.7", "--rate", "0.5:6:0.5",
+              "--snr-db-fixed", "3")
+
 RUNS = {
     "golden_4_2_2.csv": ("--n", "4", "--m", "2", "--l", "2"),
     "golden_32_12_16.csv": ("--n", "32", "--m", "12", "--l", "16"),
     "golden_32_12_16.json": ("--n", "32", "--m", "12", "--l", "16",
                              "--format", "json"),
+    "golden_fig1.csv": ("--preset", "fig1"),
+    "golden_rate_32_14_16.csv": FIG2_FLAGS,
 }
 
 MONTE_CARLO_COLUMNS = ("mc_outage", "mc_stderr", "trials")
@@ -38,6 +48,10 @@ LAWS = {
         "ded1837facb56effa794834fe973e5f01d41b80f2a47cdeb7c420bddb8a10881",
     "golden_32_12_16.json":
         "4fd1b1e90ce90451c03e519c4d77f3657aabc94f38cadfff558296875617a3f8",
+    "golden_fig1.csv":
+        "d3e23705a52a2a22049818e58c6af8596d9af6f5ceae89faae25f04d00341a50",
+    "golden_rate_32_14_16.csv":
+        "8eca700c45805f38aea4277b80d7af6885910edc0fef316401c22a6ecfcef386",
 }
 
 SHA256 = {
@@ -47,6 +61,10 @@ SHA256 = {
         "b0fcde4aade2ff6a18e158d9083b88fed999d85b8b082f142b584e782ff91608",
     "golden_32_12_16.json":
         "da7602b2ab2c1f100052d589d7a0170ef93f14319af55df65e74bfcb30760d94",
+    "golden_fig1.csv":
+        "2beae3c99c1189fba8619346d6f972751174ae66707dabd69d701b8c0a7061ce",
+    "golden_rate_32_14_16.csv":
+        "9075a5ab83c65b0eaadde2156f27266bb0ec76fab59f9b581f863dc6b3c38aad",
 }
 
 
@@ -84,3 +102,15 @@ def test_fixed_seed_run_bytes(name, tmp_path, monkeypatch):
     data = (tmp_path / name).read_bytes()
     assert hashlib.sha256(without_monte_carlo(name, data)).hexdigest() == LAWS[name]
     assert hashlib.sha256(data).hexdigest() == SHA256[name]
+
+
+def test_fig2_preset_is_its_spelled_out_flags(tmp_path, monkeypatch):
+    # the same relative --output in two folders, since the file echoes it
+    tail = ["--trials", "1024", "--seed", "20211", "--output", "fig2.csv"]
+    data = []
+    for folder, args in (("preset", ("--preset", "fig2")), ("flags", FIG2_FLAGS)):
+        (tmp_path / folder).mkdir()
+        monkeypatch.chdir(tmp_path / folder)
+        assert main(list(args) + tail) == EXIT_OK
+        data.append((tmp_path / folder / "fig2.csv").read_bytes())
+    assert data[0] == data[1]
