@@ -10,11 +10,12 @@ with H_d (N x M) the direct links, H (N x L) the surface-to-receiver links,
 G (L x M) the transmitter-to-surface links, all i.i.d. circularly symmetric
 complex Gaussian with per-link variances, and phi uniform on [0, 2pi).
 
-Randomness is counter based: every (master_seed, stream_index) pair keys
-one Philox stream per draw domain. The entries are NumPy's ziggurat
-normals, one per real or imaginary part, and the phases are uniforms from
-a second domain, both trial-major, so a stream's draws are a fixed
-function of the pair regardless of how work is scheduled across processes.
+Randomness is keyed: every (master_seed, stream_index) pair seeds one
+SFC64 generator per draw domain through NumPy's SeedSequence. The entries
+are NumPy's ziggurat normals, one per real or imaginary part, and the
+phases are uniforms from a second domain, both trial-major, so a stream's
+draws are a fixed function of the pair regardless of how work is scheduled
+across processes.
 """
 
 import math
@@ -102,7 +103,7 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """Addresses one substream: (master_seed, stream_index) -> Philox key."""
+    """Addresses one substream: (master_seed, stream_index) -> generator key."""
 
     master_seed: int
     stream_index: int = 0
@@ -117,13 +118,18 @@ class SeedSpec:
 
 
 def _generator(seed, domain):
-    """Philox generator for (master_seed, stream_index) in a draw domain.
+    """SFC64 generator for (master_seed, stream_index) in a draw domain.
 
-    The domain tag occupies the top bits of the second key word so draws
-    in different domains with the same seed never share a stream.
+    SeedSequence pads the master seed to its fixed pool width before it
+    appends the spawn key (domain, stream_index), so no two triples share
+    an input. A list key [master_seed, domain, stream_index] would not do:
+    its ints become variable-length 32-bit words, and [2**32, 0, 5] is
+    the same input as [0, 1, 5 * 2**32].
     """
-    key = [int(seed.master_seed), (domain << _STREAM_BITS) | int(seed.stream_index)]
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.random.SeedSequence(
+        int(seed.master_seed), spawn_key=(domain, int(seed.stream_index))
+    )
+    return np.random.Generator(np.random.SFC64(key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,8 +175,9 @@ def draw_channel_batch(cfg, seed, count):
 
 
 def cascade_batch(batch):
-    """Batched cascade H diag(e^{j phi}) G, (count, N, M)."""
-    return (batch.ris_rx * np.exp(1j * batch.phases)[:, np.newaxis, :]) @ batch.tx_ris
+    """Batched cascade H diag(e^{j phi}) G, (count, N, M); the phases
+    rotate the rows of G, never larger than H since N >= M."""
+    return batch.ris_rx @ (np.exp(1j * batch.phases)[:, :, np.newaxis] * batch.tx_ris)
 
 
 def clt_psi2(cfg, mode):

@@ -25,6 +25,7 @@ from .analytic import DEFAULT_JOINT_METHOD, JOINT_METHODS
 from .montecarlo import (
     SweepSpec,
     canonical_schemes,
+    db_to_power,
     resolve_streams,
     run_sweep,
 )
@@ -72,6 +73,10 @@ class RunManifest:
     fmt: str
 
 
+# The most points one sweep grid may have; every point costs a law per scheme.
+GRID_MAX_POINTS = 10_000
+
+
 def _grid(start, stop, step):
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigurationError(f"grid values must be finite, got {start}:{stop}:{step}")
@@ -79,8 +84,12 @@ def _grid(start, stop, step):
         raise ConfigurationError(f"grid step must be > 0, got {step}")
     if stop < start:
         raise ConfigurationError(f"grid stop {stop} is below start {start}")
-    n = int(math.floor((stop - start) / step + 1e-9))
-    return tuple(start + k * step for k in range(n + 1))
+    steps = (stop - start) / step + 1e-9  # may overflow to inf
+    if not steps < GRID_MAX_POINTS:
+        raise ConfigurationError(
+            f"grid {start}:{stop}:{step} has more than {GRID_MAX_POINTS} points"
+        )
+    return tuple(start + k * step for k in range(math.floor(steps) + 1))
 
 
 def parse_grid(text):
@@ -183,7 +192,7 @@ FLAGS = {
     "m": (_parse_int, "transmit streams"),
     "l": (_parse_int, "surface elements"),
     "snr_db": (parse_grid, "sweep transmit SNR in dB: inclusive START:STOP:STEP "
-               "grid, or one value"),
+               f"grid of at most {GRID_MAX_POINTS} points, or one value"),
     "rate": (parse_grid, "sweep target rate in bit/s/Hz: START:STOP:STEP, or one value"),
     "rate_fixed": (_parse_float, "rate held fixed during an SNR sweep"),
     "snr_db_fixed": (_parse_float, "transmit SNR in dB held fixed during a rate sweep"),
@@ -395,25 +404,29 @@ def _build_parser():
 
 def _read_config_file(path):
     """Flag values from a key=value file, each checked by its flag's converter."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ConfigurationError(f"{path}: not UTF-8 text") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            if "=" not in line:
-                raise ConfigurationError(f"{where}: expected key=value, got {line!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key == "config":
-                raise ConfigurationError(f"{where}: nested config files")
-            if key not in FLAGS:
-                raise ConfigurationError(f"{where}: unknown key {key!r}")
-            try:
-                out[key] = FLAGS[key][0](value)
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"{where}: {key}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        if "=" not in line:
+            raise ConfigurationError(f"{where}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key == "config":
+            raise ConfigurationError(f"{where}: nested config files")
+        if key not in FLAGS:
+            raise ConfigurationError(f"{where}: unknown key {key!r}")
+        try:
+            out[key] = FLAGS[key][0](value)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{where}: {key}: {exc}") from None
     return out
 
 
@@ -440,11 +453,11 @@ def build_manifest(ns, file_values):
         raise ConfigurationError("sweep either --snr-db or --rate, not both")
     if "rate" in v:
         sweep = SweepSpec("rate", v["rate"])
-        tx_snr, rate = 10.0 ** (v["snr_db_fixed"] / 10.0), sweep.values[0]
+        tx_snr, rate = db_to_power(v["snr_db_fixed"]), sweep.values[0]
     else:
         # tx_snr is swept per point; the stored value is the first grid point.
         sweep = SweepSpec("snr_db", v["snr_db"])
-        tx_snr, rate = 10.0 ** (sweep.values[0] / 10.0), v["rate_fixed"]
+        tx_snr, rate = db_to_power(sweep.values[0]), v["rate_fixed"]
 
     cfg = SystemConfig(
         rx_antennas=v["n"],

@@ -303,9 +303,17 @@ def analytic_outage(
     )
 
 
+def db_to_power(db):
+    """Linear power of a dB value; ConfigurationError where it overflows."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigurationError(f"{db} dB overflows a float power") from None
+
+
 def _point_config(cfg, sweep_variable, value):
     if sweep_variable == "snr_db":
-        return dataclasses.replace(cfg, tx_snr=10.0 ** (value / 10.0))
+        return dataclasses.replace(cfg, tx_snr=db_to_power(value))
     return dataclasses.replace(cfg, rate=value)
 
 

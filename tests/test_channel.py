@@ -125,6 +125,20 @@ def test_draw_domains_are_distinct():
                            batch.direct[0] / np.sqrt(cfg.gain_direct))
 
 
+def test_generator_keys_are_one_to_one():
+    # as 32-bit words, [2**32, 0, 5] and [0, 1, 5 * 2**32] are one list key
+    a = _generator(SeedSpec(2**32, 5), _DOMAIN_ENTRIES).random(4)
+    b = _generator(SeedSpec(0, 5 * 2**32), _DOMAIN_PHASES).random(4)
+    assert not np.array_equal(a, b)
+    heads = {
+        tuple(_generator(SeedSpec(seed, index), tag).bit_generator.random_raw(2))
+        for seed in (0, 1, 2**32 - 1, 2**32, 2**64 - 1)
+        for tag in (_DOMAIN_ENTRIES, _DOMAIN_PHASES, _DOMAIN_SURROGATE)
+        for index in (0, 1, 2**32 - 1, 2**32, 5 * 2**32, 2**56 - 1)
+    }
+    assert len(heads) == 5 * 3 * 6
+
+
 def test_uniforms_per_trial_formula():
     n, m, l = CFG.rx_antennas, CFG.streams, CFG.ris_elements
     assert uniforms_per_trial(CFG) == 2 * n * m + 2 * n * l + 2 * l * m + l

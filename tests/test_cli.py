@@ -87,8 +87,11 @@ def test_parse_grid():
     assert parse_grid("-10:10:5") == (-10.0, -5.0, 0.0, 5.0, 10.0)
     assert parse_grid("0:1:0.3") == pytest.approx((0.0, 0.3, 0.6, 0.9))
     assert parse_grid("2:2:1") == (2.0,)
+    cap = cli.GRID_MAX_POINTS
+    assert len(parse_grid(f"1:{cap}:1")) == cap
     for bad in ("a", "1:2", "1:2:3:4", "0:5:0", "5:0:1",
-                "0:inf:1", "nan:1:1", "0:1:nan"):
+                "0:inf:1", "nan:1:1", "0:1:nan", f"0:{cap}:1",
+                "0:1e300:1e-300", "0:1e9:1e-3"):
         with pytest.raises(ConfigurationError):
             parse_grid(bad)
 
@@ -213,6 +216,25 @@ def test_exit_code_for_bad_configuration(tmp_path, capsys):
     assert "configuration error" in err
 
 
+def test_extreme_snr_db_is_a_configuration_error(tmp_path, capsys):
+    # 10**400 overflows a float and 10**-400 rounds to zero
+    for sweep, rule in (
+        (("--snr-db", "4000"), "4000.0 dB overflows a float power"),
+        (("--snr-db=0:4000:1000",), "4000.0 dB overflows a float power"),
+        (("--rate", "1", "--snr-db-fixed", "4000"), "4000.0 dB overflows a float power"),
+        (("--snr-db=-4000",), "tx_snr must be finite and > 0"),
+        (("--rate", "1", "--snr-db-fixed=-4000"), "tx_snr must be finite and > 0"),
+    ):
+        out = tmp_path / "extreme.csv"
+        argv = ["--n", "6", "--m", "2", "--l", "2", "--trials", "100",
+                "--output", str(out), *sweep]
+        assert main(argv) == EXIT_CONFIG, sweep
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and rule in err, err
+        assert "Traceback" not in err, err
+
+
 def test_integer_flags_reject_non_integers(tmp_path, capsys):
     # the message states the rule the value broke, not the converter's name
     integer = "expected an integer, got"
@@ -305,6 +327,11 @@ def test_config_file_rejects_unknown_and_nested_keys(tmp_path, capsys):
     noequals.write_text("trials\n")
     assert main(["--config", str(noequals)]) == EXIT_CONFIG
     capsys.readouterr()
+    binary = tmp_path / "bin.conf"
+    binary.write_bytes(b"n = \xff\n")
+    assert main(["--config", str(binary)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {binary}: not UTF-8 text\n", err
 
 
 def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
