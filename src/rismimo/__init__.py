@@ -2,6 +2,6 @@
 
 Monte Carlo simulation and closed-form evaluation of per-stream outage
 under four zero-forcing detection regimes: direct-link CSI only,
-cascade-link CSI only, full composite CSI, and QR-based joint
+cascade-link CSI only, full composite CSI, and joint
 coherent/noncoherent detection.
 """

@@ -1,4 +1,4 @@
-"""Closed-form and quadrature outage probabilities per scheme.
+"""Closed-form and series outage probabilities per scheme.
 
 Each function returns P(gamma_i < gamma_th) for one stream under one CSI
 regime, matching the corresponding detector in `detectors`. DirectCsi and

@@ -15,7 +15,7 @@ SFC64 generator per draw domain through NumPy's SeedSequence. The entries
 are NumPy's ziggurat normals, one per real or imaginary part, and the
 phases are uniforms from a second domain, both trial-major, so a stream's
 draws are a fixed function of the pair regardless of how work is scheduled
-across processes.
+across processes, or of how many trials each call draws.
 """
 
 import math
@@ -40,6 +40,10 @@ _DOMAIN_ENTRIES = 0    # draw domain of the channel entries
 _DOMAIN_PHASES = 1     # of the surface phases
 _DOMAIN_SURROGATE = 2  # of the Gaussian stand-in of the cascade (tests)
 _STREAM_BITS = 56
+# Bytes of channel variates one trial slice holds. Blocks are drawn and
+# detected in slices of about this size, so a block's working set stays
+# bounded as N and L grow; see `trial_slices`.
+SLICE_BYTES = 8 * 2**20
 
 
 def _gain_vector(value, m, name):
@@ -141,6 +145,11 @@ class ChannelBatch:
     tx_ris: np.ndarray    # (count, L, M)
     phases: np.ndarray    # (count, L)
 
+    def __getitem__(self, trials):
+        """The realizations of a slice of trials, as views."""
+        return ChannelBatch(self.direct[trials], self.ris_rx[trials],
+                            self.tx_ris[trials], self.phases[trials])
+
 
 def uniforms_per_trial(cfg):
     """Variates per trial: two normals per entry and a uniform per phase."""
@@ -148,29 +157,61 @@ def uniforms_per_trial(cfg):
     return 2 * n * m + 2 * n * l + 2 * l * m + l
 
 
-def _complex_normals(gen, shape):
-    """CN(0, 2) entries: ziggurat N(0, 1) real and imaginary parts, in turn."""
-    return gen.standard_normal((*shape[:-1], 2 * shape[-1])).view(np.complex128)
+def trial_slices(cfg, count):
+    """Sizes of the consecutive slices that `count` trials are worked in.
+
+    As few slices as keep each one's variates within SLICE_BYTES, with
+    sizes that differ by at most one. A multi-trial batch never gets a
+    one-trial slice: the detector kernels round a lone trial differently
+    in the last bit, and every slice length of two or more gives the same
+    bytes as one piece.
+    """
+    per = max(1, SLICE_BYTES // (8 * uniforms_per_trial(cfg)))
+    pieces = max(1, min(-(-count // per), count // 2))
+    size, extra = divmod(count, pieces)
+    return [size + 1] * extra + [size] * (pieces - extra)
+
+
+def channel_generators(seed):
+    """The (entries, phases) generators of one substream. Successive
+    `draw_channel_batch` calls on the pair continue its draws."""
+    return _generator(seed, _DOMAIN_ENTRIES), _generator(seed, _DOMAIN_PHASES)
+
+
+def _entry_scales(cfg):
+    """Standard deviation of each real and imaginary part, in draw order."""
+    n, l = cfg.rx_antennas, cfg.ris_elements
+    return np.repeat(np.concatenate((
+        np.tile(np.sqrt(0.5 * cfg.gain_direct), n),
+        np.full(n * l, math.sqrt(0.5 * cfg.gain_ris_rx)),
+        np.tile(np.sqrt(0.5 * cfg.gain_tx_ris), l),
+    )), 2)
 
 
 def draw_channel_batch(cfg, seed, count):
     """Draw `count` i.i.d. realizations from one substream.
 
-    Entries and phases are laid out trial-major, so a shorter batch from
-    the same (seed, stream) is a prefix of a longer one and per-trial
-    content never depends on the batch split.
+    `seed` is a SeedSpec, which starts the substream, or the generator
+    pair of `channel_generators`, which continues it. Entries and phases
+    are laid out trial-major, so a shorter batch from the same (seed,
+    stream) is a prefix of a longer one, consecutive draws from one pair
+    concatenate to a single draw, and per-trial content never depends on
+    the batch split.
     """
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     n, m, l = cfg.rx_antennas, cfg.streams, cfg.ris_elements
-    gen = _generator(seed, _DOMAIN_ENTRIES)
-    z = _complex_normals(gen, (count, n * m + n * l + l * m))
-    d, h, g = np.split(z, (n * m, n * m + n * l), axis=1)
+    entries, phases = channel_generators(seed) if isinstance(seed, SeedSpec) else seed
+    x = entries.standard_normal((count, 2 * (n * m + n * l + l * m)))
+    x *= _entry_scales(cfg)
+    d, h, g = np.split(x.view(np.complex128), (n * m, n * m + n * l), axis=1)
+    phi = phases.random((count, l))
+    phi *= 2.0 * np.pi
     return ChannelBatch(
-        direct=d.reshape(count, n, m) * np.sqrt(0.5 * cfg.gain_direct),
-        ris_rx=h.reshape(count, n, l) * math.sqrt(0.5 * cfg.gain_ris_rx),
-        tx_ris=g.reshape(count, l, m) * np.sqrt(0.5 * cfg.gain_tx_ris),
-        phases=2.0 * np.pi * _generator(seed, _DOMAIN_PHASES).random((count, l)),
+        direct=d.reshape(count, n, m),
+        ris_rx=h.reshape(count, n, l),
+        tx_ris=g.reshape(count, l, m),
+        phases=phi,
     )
 
 

@@ -34,7 +34,7 @@ import enum
 
 import numpy as np
 
-from .channel import cascade_batch
+from .channel import cascade_batch, trial_slices
 from .errors import ConfigurationError
 
 # A matrix is treated as rank deficient unless its smallest elimination
@@ -135,10 +135,28 @@ def batch_gammas(batch, cfg, schemes, streams=None):
     requested elimination had full numerical rank. gammas[scheme] has
     shape (count, M); given ``streams``, a {scheme: stream index} dict, it
     has shape (count,) and holds that stream alone, which costs one
-    elimination per scheme. Flagged trials read 0.
+    elimination per scheme. Flagged trials read 0. The trials are worked
+    in the slices of `channel.trial_slices`, which bounds the working set
+    and leaves every byte as one piece would give it.
     """
     if Scheme.RisCsi in schemes:
         check_cascade_rank(cfg)
+    count = batch.direct.shape[0]
+    shape = (count, cfg.streams) if streams is None else (count,)
+    gammas = {s: np.empty(shape) for s in schemes}
+    ok = np.empty(count, dtype=bool)
+    lo = 0
+    for size in trial_slices(cfg, count):
+        part = slice(lo, lo + size)
+        got, ok[part] = _slice_gammas(batch[part], cfg, schemes, streams)
+        for s in schemes:
+            gammas[s][part] = got[s]
+        lo += size
+    return gammas, ok
+
+
+def _slice_gammas(batch, cfg, schemes, streams):
+    """`batch_gammas` on a batch in one piece."""
     wanted = set(schemes)
     p = cfg.tx_snr
     m = cfg.streams

@@ -3,11 +3,13 @@
 All requested detection schemes are evaluated on the same channel draws
 (common random numbers).  Trials run in fixed-size blocks, one RNG
 substream per block, and block results are reduced in index order, so the
-outcome is bit-identical for any worker count.
+outcome is bit-identical for any worker count.  Each block is drawn and
+detected in slices sized by a byte budget, which bounds the memory a
+block holds and changes no output byte.
 
 Transmit power enters every per-stream SNR through a fixed strictly
 monotone scalar map (gamma is proportional to p for the full-CSI and
-QR-based schemes, and equals p*z/(p*c+1) with a power-free z for the two
+joint schemes, and equals p*z/(p*c+1) with a power-free z for the two
 interference-floor schemes).  The engine therefore samples SNRs once at
 unit transmit power and counts against the inverse-mapped threshold;
 the counted event is identical per trial, and a whole power sweep costs
@@ -20,7 +22,14 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .channel import DEFAULT_SCALE_MODE, SeedSpec, SystemConfig, draw_channel_batch
+from .channel import (
+    DEFAULT_SCALE_MODE,
+    SeedSpec,
+    SystemConfig,
+    channel_generators,
+    draw_channel_batch,
+    trial_slices,
+)
 from .detectors import Scheme, batch_gammas, interference_power, threshold_from_rate
 from .errors import ConfigurationError, NumericalRankError
 from . import analytic
@@ -112,7 +121,7 @@ def canonical_schemes(schemes):
 def default_report_stream(cfg, scheme):
     """Stream whose statistics the per-scheme reports use by default.
 
-    The QR-based scheme is the one whose per-stream law differs: the
+    The joint scheme is the one whose per-stream law differs: the
     triangular pivot for stream i has 2(N - i) degrees of freedom. Its
     closed form covers every stream; the default stays at the last one,
     the weakest, whose N - M + 1 shape matches the other detectors' ZF
@@ -188,7 +197,10 @@ def _chunk_ranges(n_blocks, workers):
 def _chunk(payload):
     """(parts, failures) for a contiguous range of trial blocks.
 
-    parts[scheme] has one entry per block: the valid trials' SNRs at the
+    Each block is drawn and detected in the slices of
+    `channel.trial_slices`, which continue the block's generators, so its
+    working set stays bounded and its bytes do not depend on the slicing.
+    parts[scheme] has one entry per slice: the valid trials' SNRs at the
     scheme's stream, or at every stream when ``streams`` is None.
     Rank-failed trials are dropped from every scheme alike so the common
     draws stay aligned.
@@ -196,13 +208,15 @@ def _chunk(payload):
     cfg, schemes, streams, master_seed, first, sizes = payload
     parts = {s: [] for s in schemes}
     failures = 0
-    for off, size in enumerate(sizes):
-        batch = draw_channel_batch(cfg, SeedSpec(master_seed, first + off), size)
-        gammas, ok = batch_gammas(batch, cfg, schemes, streams)
-        bad = size - int(ok.sum())
-        failures += bad
-        for s in schemes:
-            parts[s].append(gammas[s][ok] if bad else gammas[s])
+    for off, block in enumerate(sizes):
+        gens = channel_generators(SeedSpec(master_seed, first + off))
+        for size in trial_slices(cfg, block):
+            batch = draw_channel_batch(cfg, gens, size)
+            gammas, ok = batch_gammas(batch, cfg, schemes, streams)
+            bad = size - int(ok.sum())
+            failures += bad
+            for s in schemes:
+                parts[s].append(gammas[s][ok] if bad else gammas[s])
     return parts, failures
 
 

@@ -9,6 +9,7 @@ functions into finite sums and the confluent hypergeometric function into a
 terminating series.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -269,13 +270,22 @@ def gamma_expectation_rule(shape):
     three-term recurrence, whose eigenvector weights come out already
     normalized, so large shapes do not overflow (scipy's roots_genlaguerre
     returns non-finite weights once Gamma(shape) does, past shape 171).
-    Exact for polynomials of degree < 96.
+    Exact for polynomials of degree < 96. Built once per shape; the arrays
+    are shared and read-only.
     """
     _check_count(shape, "gamma shape")
+    return _gamma_rule(int(shape))
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma_rule(shape):
     k = np.arange(48, dtype=np.float64)
     nodes, vecs = eigh_tridiagonal(2.0 * k + shape, np.sqrt(k[1:] * (k[1:] + shape - 1)))
     weights = vecs[0] ** 2
-    return nodes, weights / weights.sum()
+    weights /= weights.sum()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def _scaled_bessel_k01(x):

@@ -18,7 +18,6 @@ from rismimo.analytic import _check_stream, _check_threshold
 from rismimo.channel import (
     DEFAULT_SCALE_MODE,
     _DOMAIN_SURROGATE,
-    _complex_normals,
     _generator,
     cascade_batch,
     clt_psi2,
@@ -58,7 +57,8 @@ def clt_surrogate(cfg, seed, mode=DEFAULT_SCALE_MODE):
     psi2 = clt_psi2(cfg, mode)
     n, m = cfg.rx_antennas, cfg.streams
     gen = _generator(seed, _DOMAIN_SURROGATE)
-    matrix = _complex_normals(gen, (n, m)) * np.sqrt(0.5 * psi2)
+    # CN(0, 2) entries: N(0, 1) real and imaginary parts, in turn
+    matrix = gen.standard_normal((n, 2 * m)).view(np.complex128) * np.sqrt(0.5 * psi2)
     return CltSurrogate(matrix, psi2, mode)
 
 

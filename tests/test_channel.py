@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from rismimo import channel
 from rismimo.channel import (
     _DOMAIN_ENTRIES,
     _DOMAIN_PHASES,
@@ -16,9 +17,11 @@ from rismimo.channel import (
     SeedSpec,
     SystemConfig,
     _generator,
+    channel_generators,
     clt_psi2,
     cascade_batch,
     draw_channel_batch,
+    trial_slices,
     uniforms_per_trial,
 )
 from rismimo.errors import ConfigurationError
@@ -105,6 +108,43 @@ def test_single_draw_matches_batch_head():
     assert np.array_equal(one.ris_rx, batch.ris_rx[:1])
     assert np.array_equal(one.tx_ris, batch.tx_ris[:1])
     assert np.array_equal(one.phases, batch.phases[:1])
+
+
+def test_continued_draws_concatenate_to_one_draw():
+    # a block drawn slice by slice from its generator pair is the block
+    # drawn in one piece, byte for byte
+    cfg = SystemConfig(5, 2, 3, gain_direct=[0.5, 2.0], gain_tx_ris=[1.5, 0.3],
+                       gain_ris_rx=0.7)
+    whole = draw_channel_batch(cfg, SeedSpec(8, 6), 23)
+    gens = channel_generators(SeedSpec(8, 6))
+    parts = [draw_channel_batch(cfg, gens, k) for k in (1, 7, 2, 13)]
+    for name in ("direct", "ris_rx", "tx_ris", "phases"):
+        joined = np.concatenate([getattr(b, name) for b in parts])
+        assert joined.tobytes() == getattr(whole, name).tobytes(), name
+    head = whole[3:9]
+    assert np.array_equal(head.tx_ris, whole.tx_ris[3:9])
+    assert np.array_equal(head.phases, whole.phases[3:9])
+
+
+def test_trial_slices_are_near_equal_and_within_budget(monkeypatch):
+    # one slice for small arrays at the default budget, so their kernels
+    # keep whole-block calls; several for large ones
+    assert trial_slices(SystemConfig(4, 2, 2), 1024) == [1024]
+    assert trial_slices(SystemConfig(8, 4, 8), 1024) == [1024]
+    assert len(trial_slices(SystemConfig(32, 12, 16), 1024)) > 1
+    cfg = SystemConfig(8, 4, 8)
+    trial_bytes = 8 * uniforms_per_trial(cfg)
+    for per in (1, 2, 3, 7, 256):
+        monkeypatch.setattr(channel, "SLICE_BYTES", per * trial_bytes)
+        for count in (1, 2, 3, 4, 5, 7, 255, 256, 257, 1000, 1023, 1024):
+            sizes = trial_slices(cfg, count)
+            assert sum(sizes) == count
+            assert max(sizes) - min(sizes) <= 1
+            # no one-trial slice in a multi-trial batch, even where the
+            # budget holds fewer than two trials
+            assert count == 1 or min(sizes) >= 2, (per, count, sizes)
+            if per >= 3:
+                assert len(sizes) == -(-count // per), (per, count, sizes)
 
 
 def test_draw_domains_are_distinct():

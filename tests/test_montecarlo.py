@@ -2,13 +2,21 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from rismimo import analytic, montecarlo
+from rismimo import analytic, channel, montecarlo
 from rismimo.analytic import outage_direct, outage_full_clt, outage_ris
-from rismimo.channel import SeedSpec, SystemConfig, draw_channel_batch
+from rismimo.channel import (
+    SeedSpec,
+    SystemConfig,
+    channel_generators,
+    draw_channel_batch,
+    trial_slices,
+    uniforms_per_trial,
+)
 from rismimo.detectors import Scheme, batch_gammas
 from rismimo.errors import ConfigurationError, NumericalRankError, NumericError
 from rismimo.montecarlo import (
@@ -326,3 +334,91 @@ def test_curve_metadata():
     assert curve.seed == SeedSpec(85, 0)
     assert curve.scale_mode == "derived"
     assert curve.joint_method == "quadrature"
+
+
+# --- trial slices -------------------------------------------------------------
+
+ALL = tuple(Scheme)
+SLICED = SystemConfig(8, 4, 8)
+
+
+def _slice_budget(monkeypatch, per):
+    """Set the slice budget to ``per`` trials of SLICED."""
+    monkeypatch.setattr(channel, "SLICE_BYTES", per * 8 * uniforms_per_trial(SLICED))
+
+
+@pytest.mark.parametrize("per", (2, 256))
+@pytest.mark.parametrize("size", (1, 2, 3, 257, 1000, 1024))
+def test_slices_give_the_bytes_of_one_piece(monkeypatch, size, per):
+    seed = SeedSpec(91, 4)
+    assert trial_slices(SLICED, size) == [size]  # one piece at the default budget
+    whole = draw_channel_batch(SLICED, seed, size)
+    paths = (resolve_streams(SLICED, ALL), None)
+    want = [batch_gammas(whole, SLICED, ALL, streams) for streams in paths]
+
+    _slice_budget(monkeypatch, per)
+    sizes = trial_slices(SLICED, size)
+    assert size == 1 or min(sizes) >= 2, sizes
+    if size > max(per, 3):  # three trials make one slice, never 2 + 1
+        assert len(sizes) > 1
+    gens = channel_generators(seed)
+    drawn = [draw_channel_batch(SLICED, gens, k) for k in sizes]
+    assert np.concatenate([b.direct for b in drawn]).tobytes() == whole.direct.tobytes()
+    assert np.concatenate([b.phases for b in drawn]).tobytes() == whole.phases.tobytes()
+    for streams, (ref, ref_ok) in zip(paths, want):
+        # the kernels, worked through the one-piece draw in slices
+        got, ok = batch_gammas(whole, SLICED, ALL, streams)
+        assert ok.tobytes() == ref_ok.tobytes()
+        for s in ALL:
+            assert got[s].shape == ref[s].shape
+            assert got[s].tobytes() == ref[s].tobytes(), (s, streams is None)
+        # the block loop: each slice drawn and detected in turn
+        parts, failures = montecarlo._chunk((SLICED, ALL, streams, 91, 4, [size]))
+        assert failures == int(size - ref_ok.sum())
+        for s in ALL:
+            joined = np.concatenate(parts[s])
+            assert joined.tobytes() == ref[s][ref_ok].tobytes(), (s, streams is None)
+
+
+def test_block_working_set_is_bounded_by_the_slice_budget():
+    # a whole (64,8,64) block of variates is 84 MB; its slices hold one
+    # budget of variates plus the cascade and Gram stacks made from them
+    cfg = SystemConfig(64, 8, 64)
+    payload = (cfg, ALL, resolve_streams(cfg, ALL), 92, 0, [montecarlo.TRIALS_PER_BLOCK])
+    tracemalloc.start()
+    try:
+        montecarlo._chunk(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * channel.SLICE_BYTES, peak
+
+
+def test_sampling_calls_the_traced_names_once_per_slice(monkeypatch):
+    # bench/tracing.py times montecarlo.draw_channel_batch and
+    # montecarlo.batch_gammas by patching those names, reads the trial
+    # count as the draw's third argument and the mask as the second result
+    _slice_budget(monkeypatch, 300)
+    draws, calls = [], []
+    draw, gammas = montecarlo.draw_channel_batch, montecarlo.batch_gammas
+
+    def counted_draw(*args):
+        draws.append(args[2])
+        return draw(*args)
+
+    def counted_gammas(*args):
+        result = gammas(*args)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(montecarlo, "draw_channel_batch", counted_draw)
+    monkeypatch.setattr(montecarlo, "batch_gammas", counted_gammas)
+    trials = 2 * montecarlo.TRIALS_PER_BLOCK + 301
+    samples, failures = snr_samples(SLICED, ALL, trials, SeedSpec(93, 0))
+    assert sum(draws) == trials
+    assert len(draws) == 2 * len(trial_slices(SLICED, montecarlo.TRIALS_PER_BLOCK)) + 2
+    assert len(calls) == len(draws)
+    for count, (gams, ok) in zip(draws, calls):
+        assert ok.size == count
+        assert all(gams[s].shape == (count,) for s in ALL)
+    assert all(v.size == trials - failures for v in samples.values())

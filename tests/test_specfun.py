@@ -218,6 +218,18 @@ def test_gamma_expectation_rule_moments():
         gamma_expectation_rule(0)
 
 
+def test_gamma_expectation_rule_is_built_once_and_read_only():
+    # the derived-mode joint law asks for the same rule at every grid point
+    v, w = gamma_expectation_rule(16)
+    again = gamma_expectation_rule(np.int64(16))
+    assert again[0] is v and again[1] is w
+    assert not v.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w *= 2.0
+    with pytest.raises(ConfigurationError):
+        gamma_expectation_rule(2.0)
+
+
 # --- adaptive quadrature wrapper ---------------------------------------------
 
 def test_quadrature_spec_validation():
