@@ -207,7 +207,8 @@ FLAGS = {
     "joint_method": (_choice(JOINT_METHODS), "joint-detector outage evaluation"),
     "stream": (_parse_int, "report this stream for every scheme "
                "(default: 0, and the last stream for the joint detector)"),
-    "workers": (_parse_int, "parallel worker processes; any count gives the same results"),
+    "workers": (_parse_int, "parallel worker processes, at most one per CPU; "
+                "any count gives the same results"),
     "output": (str, "output file path (default outage_<sweep>.<format>)"),
     "format": (_choice(("csv", "json")), "output file format"),
     "overhead_report": (_parse_bool,
@@ -229,27 +230,27 @@ def _fmt(value, column):
     return str(value)
 
 
-def curve_rows(curve):
-    """Flatten an OutageCurve into one dict per (point, scheme), scheme
-    order fixed so files are deterministic."""
+def curve_rows(manifest, points):
+    """Flatten a sweep's points into one dict per (point, scheme), in the
+    manifest's canonical scheme order so files are deterministic."""
     rows = []
-    for point in curve.points:
-        for s in curve.schemes:
+    for point in points:
+        for s in manifest.schemes:
             est = point.empirical[s]
             rows.append(
                 {
                     "scheme": s.value,
-                    "sweep_variable": curve.sweep_variable,
+                    "sweep_variable": manifest.sweep.variable,
                     "sweep_value": point.sweep_value,
                     "snr_db": point.snr_db,
                     "rate_bps_hz": point.rate,
                     "gamma_th": point.gamma_th,
-                    "stream_index": est.stream_index,
+                    "stream_index": manifest.stream[s],
                     "analytic_outage": point.analytic[s],
                     "mc_outage": est.probability,
                     "mc_stderr": est.stderr,
                     "trials": est.trials,
-                    "seed": curve.seed.master_seed,
+                    "seed": manifest.master_seed,
                 }
             )
     return rows
@@ -313,15 +314,15 @@ def write_json(path, manifest, rows):
         fh.write("\n")
 
 
-def _print_summary(curve, out=None):
+def _print_summary(manifest, points, out=None):
     out = out if out is not None else sys.stdout
-    head = f"{curve.sweep_variable:>10}"
-    for s in curve.schemes:
+    head = f"{manifest.sweep.variable:>10}"
+    for s in manifest.schemes:
         head += f"  {s.value + ':analytic':>14}  {s.value + ':mc':>10}"
     print(head, file=out)
-    for point in curve.points:
+    for point in points:
         line = f"{point.sweep_value:>10.3g}"
-        for s in curve.schemes:
+        for s in manifest.schemes:
             line += (
                 f"  {point.analytic[s]:>14.4e}"
                 f"  {point.empirical[s].probability:>10.4e}"
@@ -338,7 +339,7 @@ def run(manifest):
         folder = os.path.dirname(os.path.abspath(manifest.output))
         if not os.access(folder, os.W_OK):
             raise OSError(f"output directory missing or not writable: {folder}")
-        curve = run_sweep(
+        points = run_sweep(
             manifest.config,
             manifest.sweep,
             manifest.schemes,
@@ -349,7 +350,7 @@ def run(manifest):
             scale_mode=manifest.scale_mode,
             joint_method=manifest.joint_method,
         )
-        rows = curve_rows(curve)
+        rows = curve_rows(manifest, points)
         if manifest.fmt == "csv":
             write_csv(manifest.output, manifest, rows)
         else:
@@ -363,7 +364,7 @@ def run(manifest):
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    _print_summary(curve)
+    _print_summary(manifest, points)
     print(f"wrote {manifest.output}")
     return EXIT_OK
 

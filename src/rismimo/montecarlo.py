@@ -18,6 +18,7 @@ one sample collection.
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -25,7 +26,6 @@ import numpy as np
 from .channel import (
     DEFAULT_SCALE_MODE,
     SeedSpec,
-    SystemConfig,
     channel_generators,
     draw_channel_batch,
     trial_slices,
@@ -39,28 +39,19 @@ TRIALS_PER_BLOCK = 1024
 # rather than unlucky; the estimate aborts instead of quietly skewing.
 MAX_FAILURE_RATE = 1e-6
 
-_SCHEME_ORDER = (Scheme.DirectCsi, Scheme.RisCsi, Scheme.FullCsi, Scheme.Joint)
-
 
 @dataclasses.dataclass(frozen=True)
 class OutageEstimate:
     """Empirical outage for one scheme and stream.
 
     ``trials`` is the number of valid trials actually counted (requested
-    trials minus rank failures).  ``wilson_low``/``wilson_high`` carry a
-    95% Wilson score interval when the success count is small enough
-    (p_hat * trials < 50) that the normal-approximation standard error
-    thins out; otherwise they are None.
+    trials minus rank failures), and ``stderr`` the normal-approximation
+    binomial standard error.
     """
 
-    scheme: Scheme
-    stream_index: int
     probability: float
     stderr: float
     trials: int
-    failures: int = 0
-    wilson_low: float = None
-    wilson_high: float = None
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,27 +86,14 @@ class CurvePoint:
     empirical: dict
 
 
-@dataclasses.dataclass(frozen=True)
-class OutageCurve:
-    sweep_variable: str
-    points: tuple
-    config: SystemConfig
-    schemes: tuple
-    stream_index: dict
-    trials: int
-    seed: SeedSpec
-    scale_mode: str
-    joint_method: str
-
-
 def canonical_schemes(schemes):
     chosen = set(schemes)
-    unknown = chosen - set(_SCHEME_ORDER)
+    unknown = chosen - set(Scheme)
     if unknown:
         raise ConfigurationError(f"unknown schemes: {sorted(s for s in unknown)}")
     if not chosen:
         raise ConfigurationError("at least one scheme is required")
-    return tuple(s for s in _SCHEME_ORDER if s in chosen)
+    return tuple(s for s in Scheme if s in chosen)
 
 
 def default_report_stream(cfg, scheme):
@@ -152,17 +130,6 @@ def resolve_streams(cfg, schemes, stream=None):
     return out
 
 
-def wilson_interval(count, n, z=1.96):
-    """95% Wilson score interval for a binomial proportion."""
-    if n <= 0:
-        raise ConfigurationError("wilson_interval needs at least one trial")
-    phat = count / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2.0 * n)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
 def threshold_at_unit_snr(scheme, cfg, tx_snr, gamma_th):
     """Outage threshold mapped to the unit-transmit-power sample scale.
 
@@ -178,14 +145,6 @@ def threshold_at_unit_snr(scheme, cfg, tx_snr, gamma_th):
     return gamma_th * (p * c + 1.0) / (p * (c + 1.0))
 
 
-def _block_plan(trials):
-    full, rem = divmod(trials, TRIALS_PER_BLOCK)
-    sizes = [TRIALS_PER_BLOCK] * full
-    if rem:
-        sizes.append(rem)
-    return sizes
-
-
 def _chunk_ranges(n_blocks, workers):
     per = -(-n_blocks // workers)
     return [
@@ -195,7 +154,7 @@ def _chunk_ranges(n_blocks, workers):
 
 
 def _chunk(payload):
-    """(parts, failures) for a contiguous range of trial blocks.
+    """(parts, failures) for the blocks first..stop-1 of a ``trials``-trial run.
 
     Each block is drawn and detected in the slices of
     `channel.trial_slices`, which continue the block's generators, so its
@@ -205,11 +164,12 @@ def _chunk(payload):
     Rank-failed trials are dropped from every scheme alike so the common
     draws stay aligned.
     """
-    cfg, schemes, streams, master_seed, first, sizes = payload
+    cfg, schemes, streams, master_seed, first, stop, trials = payload
     parts = {s: [] for s in schemes}
     failures = 0
-    for off, block in enumerate(sizes):
-        gens = channel_generators(SeedSpec(master_seed, first + off))
+    for b in range(first, stop):
+        gens = channel_generators(SeedSpec(master_seed, b))
+        block = min(TRIALS_PER_BLOCK, trials - b * TRIALS_PER_BLOCK)
         for size in trial_slices(cfg, block):
             batch = draw_channel_batch(cfg, gens, size)
             gammas, ok = batch_gammas(batch, cfg, schemes, streams)
@@ -221,22 +181,23 @@ def _chunk(payload):
 
 
 def _collect(cfg, schemes, streams, trials, seed, workers):
-    """All trial blocks through `_chunk` on ``workers`` processes:
+    """All trial blocks through `_chunk` in ``workers`` payloads:
     ({scheme: block results in index order}, failures)."""
     workers = int(workers)
     if workers < 1:
         raise ConfigurationError(f"workers must be >= 1, got {workers}")
-    sizes = _block_plan(trials)
     payloads = [
-        (cfg, schemes, streams, seed.master_seed, lo, sizes[lo:hi])
-        for lo, hi in _chunk_ranges(len(sizes), workers)
+        (cfg, schemes, streams, seed.master_seed, lo, hi, trials)
+        for lo, hi in _chunk_ranges(-(-trials // TRIALS_PER_BLOCK), workers)
     ]
-    if workers == 1 or len(payloads) == 1:
+    # at most one process per payload and per CPU: the executor may start
+    # every worker it is allowed, and fewer blocks than workers leave the
+    # rest idle
+    processes = min(len(payloads), os.cpu_count() or 1)
+    if processes == 1:
         results = [_chunk(p) for p in payloads]
     else:
-        # one process per payload: the executor may start every worker it
-        # is allowed, and fewer blocks than workers leave the rest idle
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             results = list(pool.map(_chunk, payloads))
     failures = sum(r[1] for r in results)
     _check_failures(failures, trials)
@@ -255,6 +216,12 @@ def _validate_trials(trials):
     trials = int(trials)
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    try:
+        SeedSpec(0, (trials - 1) // TRIALS_PER_BLOCK)  # the last block's key
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"trials {trials} need more blocks than a seed key addresses: {exc}"
+        ) from None
     return trials
 
 
@@ -278,22 +245,9 @@ def snr_samples(cfg, schemes, trials, seed, stream=None, workers=1):
     return {s: np.sort(np.concatenate(parts[s])) for s in schemes}, failures
 
 
-def _estimate_from_count(scheme, stream_index, count, valid, failures):
+def _estimate_from_count(count, valid):
     phat = count / valid
-    stderr = math.sqrt(phat * (1.0 - phat) / valid)
-    lo = hi = None
-    if phat * valid < 50:
-        lo, hi = wilson_interval(count, valid)
-    return OutageEstimate(
-        scheme=scheme,
-        stream_index=stream_index,
-        probability=phat,
-        stderr=stderr,
-        trials=valid,
-        failures=failures,
-        wilson_low=lo,
-        wilson_high=hi,
-    )
+    return OutageEstimate(phat, math.sqrt(phat * (1.0 - phat) / valid), valid)
 
 
 def analytic_outage(
@@ -343,7 +297,7 @@ def run_sweep(
     joint_method=analytic.DEFAULT_JOINT_METHOD,
 ):
     """Outage curve over an SNR or rate grid, analytic and empirical side
-    by side.
+    by side: one CurvePoint per grid value, in grid order.
 
     One unit-power sample collection serves every grid point (the draws
     are common across points and schemes), so the empirical curve is
@@ -373,7 +327,7 @@ def run_sweep(
         laws.append((value, cfg_point, gamma_th, ana))
 
     base = _unit_config(cfg)
-    samples, failures = snr_samples(base, schemes, trials, seed, streams, workers)
+    samples, _ = snr_samples(base, schemes, trials, seed, streams, workers)
     valid = next(iter(samples.values())).size
 
     points = []
@@ -383,7 +337,7 @@ def run_sweep(
         for s in schemes:
             thr = threshold_at_unit_snr(s, cfg_point, cfg_point.tx_snr, gamma_th)
             count = int(np.searchsorted(samples[s], thr, side="left"))
-            emp[s] = _estimate_from_count(s, streams[s], count, valid, failures)
+            emp[s] = _estimate_from_count(count, valid)
         points.append(
             CurvePoint(
                 sweep_value=float(value),
@@ -394,14 +348,4 @@ def run_sweep(
                 empirical=emp,
             )
         )
-    return OutageCurve(
-        sweep_variable=sweep.variable,
-        points=tuple(points),
-        config=cfg,
-        schemes=schemes,
-        stream_index=streams,
-        trials=trials,
-        seed=seed,
-        scale_mode=scale_mode,
-        joint_method=joint_method,
-    )
+    return tuple(points)

@@ -65,7 +65,7 @@ def clt_surrogate(cfg, seed, mode=DEFAULT_SCALE_MODE):
 def estimate_outage(cfg, scheme, gamma_th, trials, seed, workers=1):
     """Empirical outage fraction per stream: P(gamma_i < gamma_th).
 
-    Returns a list of OutageEstimate, one per stream.  gamma_th may be 0
+    Returns a list of OutageEstimate, indexed by stream.  gamma_th may be 0
     (estimate 0), a positive level, or inf (estimate 1).  Counting runs at
     unit transmit power against the mapped threshold, which is the same
     event trial for trial.
@@ -79,10 +79,7 @@ def estimate_outage(cfg, scheme, gamma_th, trials, seed, workers=1):
     parts, failures = _collect(_unit_config(cfg), (scheme,), None, trials, seed, workers)
     counts = np.count_nonzero(np.concatenate(parts[scheme]) < thr, axis=0)
     valid = trials - failures
-    return [
-        _estimate_from_count(scheme, i, int(counts[i]), valid, failures)
-        for i in range(cfg.streams)
-    ]
+    return [_estimate_from_count(int(c), valid) for c in counts]
 
 
 def outage_joint_conditional(y, cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):

@@ -265,6 +265,20 @@ def test_zero_trials_and_workers_are_rejected(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_trial_count_beyond_the_seed_key_fails_before_any_law(tmp_path, capsys,
+                                                              monkeypatch):
+    def no_law(*args, **kwargs):
+        raise AssertionError("a law ran before the trial count was checked")
+
+    for name in ("outage_direct", "outage_ris", "outage_full_clt", "outage_joint"):
+        monkeypatch.setattr(analytic, name, no_law)
+    status, out = _run_small(tmp_path, "huge.csv", ("--trials", str(10**24)))
+    assert status == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error: trials 1000000000000000000000000" in err, err
+
+
 def test_seed_beyond_float_precision_is_kept_exactly(tmp_path):
     # 2^53 + 1 has no float representation; a float round trip gives 2^53
     status, out = _run_small(tmp_path, "seed.csv", ("--seed", "9007199254740993"))

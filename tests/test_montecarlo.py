@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -28,7 +29,6 @@ from rismimo.montecarlo import (
     run_sweep,
     snr_samples,
     threshold_at_unit_snr,
-    wilson_interval,
 )
 
 from helpers import estimate_outage
@@ -130,7 +130,9 @@ def test_worker_count_does_not_change_results():
 
 
 def test_pool_starts_one_process_per_payload(monkeypatch):
-    # an in-process stand-in records the pool size and starts no process
+    # an in-process stand-in records the pool size and starts no process;
+    # the pool never outgrows the CPUs, and runs in-process when their
+    # count is unknown
     sizes = []
 
     class RecordingExecutor:
@@ -149,9 +151,13 @@ def test_pool_starts_one_process_per_payload(monkeypatch):
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
     trials = 4 * montecarlo.TRIALS_PER_BLOCK
     a, _ = snr_samples(SMALL, (Scheme.FullCsi,), trials, SeedSpec(77, 0), workers=1)
-    b, _ = snr_samples(SMALL, (Scheme.FullCsi,), trials, SeedSpec(77, 0), workers=64)
-    assert sizes == [4]
-    assert np.array_equal(a[Scheme.FullCsi], b[Scheme.FullCsi])
+    for cpus, pool in ((8, [4]), (2, [2]), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        b, _ = snr_samples(SMALL, (Scheme.FullCsi,), trials, SeedSpec(77, 0),
+                           workers=64)
+        assert sizes == pool, cpus
+        assert np.array_equal(a[Scheme.FullCsi], b[Scheme.FullCsi])
 
 
 def test_failure_rate_guard():
@@ -163,38 +169,14 @@ def test_failure_rate_guard():
         _check_failures(1, 10**3)
 
 
-def test_wilson_interval_frozen_values():
-    lo, hi = wilson_interval(0, 100)
-    assert lo == 0.0
-    assert hi == pytest.approx(1.96**2 / (100 + 1.96**2), rel=1e-12)
-    lo, hi = wilson_interval(50, 100)
-    assert lo == pytest.approx(0.40383, abs=1e-4)
-    assert hi == pytest.approx(0.59617, abs=1e-4)
-    assert lo + hi == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ConfigurationError):
-        wilson_interval(1, 0)
-
-
-def test_wilson_reported_only_for_sparse_counts():
-    # high outage point: plain stderr only
-    common = estimate_outage(SMALL, Scheme.FullCsi, 3.0, 4_000, SeedSpec(78, 0))[0]
-    assert common.probability * common.trials >= 50
-    assert common.wilson_low is None and common.wilson_high is None
-    # deep tail: Wilson interval reported and bracketing the point estimate
-    rare = estimate_outage(SMALL, Scheme.FullCsi, 0.01, 4_000, SeedSpec(78, 0))[0]
-    assert rare.probability * rare.trials < 50
-    assert rare.wilson_low is not None
-    assert rare.wilson_low <= rare.probability <= rare.wilson_high
-
-
 def test_estimates_are_per_stream():
     cfg = SystemConfig(6, 3, 2, gain_direct=(1.0, 3.0, 30.0))
     ests = estimate_outage(cfg, Scheme.DirectCsi, 1.0, 20_000, SeedSpec(79, 0))
-    assert [e.stream_index for e in ests] == [0, 1, 2]
+    assert len(ests) == 3
     probs = [e.probability for e in ests]
     assert probs[0] > probs[1] > probs[2]  # weaker stream, more outage
-    for e in ests:
-        want = outage_direct(cfg, e.stream_index, 1.0)
+    for i, e in enumerate(ests):
+        want = outage_direct(cfg, i, 1.0)
         assert abs(e.probability - want) <= 4 * max(e.stderr, 1e-4)
 
 
@@ -233,9 +215,8 @@ def test_sweep_spec_validation():
 
 def test_single_point_sweep_reduces_to_estimate():
     cfg = dataclasses.replace(SMALL, rate=2.0)
-    curve = run_sweep(cfg, SweepSpec("snr_db", (3.0,)), (Scheme.FullCsi,),
-                      3_000, SeedSpec(80, 0))
-    point = curve.points[0]
+    (point,) = run_sweep(cfg, SweepSpec("snr_db", (3.0,)), (Scheme.FullCsi,),
+                         3_000, SeedSpec(80, 0))
     cfg_at = dataclasses.replace(cfg, tx_snr=10.0 ** 0.3)
     est = estimate_outage(cfg_at, Scheme.FullCsi, 3.0, 3_000, SeedSpec(80, 0))[0]
     got = point.empirical[Scheme.FullCsi]
@@ -249,24 +230,23 @@ def test_single_point_sweep_reduces_to_estimate():
 
 def test_sweep_grid_columns():
     cfg = SystemConfig(4, 2, 2, tx_snr=2.0)
-    curve = run_sweep(cfg, SweepSpec("rate", (1.0, 2.0, 3.0)), (Scheme.FullCsi,),
-                      2_000, SeedSpec(81, 0))
-    assert curve.sweep_variable == "rate"
-    assert [p.gamma_th for p in curve.points] == [1.0, 3.0, 7.0]
-    assert all(p.snr_db == pytest.approx(10 * math.log10(2.0)) for p in curve.points)
-    snr_curve = run_sweep(cfg, SweepSpec("snr_db", (-2.0, 0.0, 2.0)),
-                          (Scheme.FullCsi,), 2_000, SeedSpec(81, 0))
-    assert [p.snr_db for p in snr_curve.points] == [-2.0, 0.0, 2.0]
-    assert all(p.gamma_th == 7.0 for p in snr_curve.points)  # default rate 3
+    points = run_sweep(cfg, SweepSpec("rate", (1.0, 2.0, 3.0)), (Scheme.FullCsi,),
+                       2_000, SeedSpec(81, 0))
+    assert [p.gamma_th for p in points] == [1.0, 3.0, 7.0]
+    assert all(p.snr_db == pytest.approx(10 * math.log10(2.0)) for p in points)
+    snr_points = run_sweep(cfg, SweepSpec("snr_db", (-2.0, 0.0, 2.0)),
+                           (Scheme.FullCsi,), 2_000, SeedSpec(81, 0))
+    assert [p.snr_db for p in snr_points] == [-2.0, 0.0, 2.0]
+    assert all(p.gamma_th == 7.0 for p in snr_points)  # default rate 3
 
 
 def test_sweep_empirical_curve_is_monotone_in_power():
     # common draws across grid points make the empirical curve exactly
     # monotone, not just statistically so
-    curve = run_sweep(SMALL, SweepSpec("snr_db", tuple(range(-6, 7, 2))),
-                      (Scheme.FullCsi, Scheme.Joint), 4_000, SeedSpec(82, 0))
+    points = run_sweep(SMALL, SweepSpec("snr_db", tuple(range(-6, 7, 2))),
+                       (Scheme.FullCsi, Scheme.Joint), 4_000, SeedSpec(82, 0))
     for s in (Scheme.FullCsi, Scheme.Joint):
-        probs = [p.empirical[s].probability for p in curve.points]
+        probs = [p.empirical[s].probability for p in points]
         assert all(b <= a for a, b in zip(probs, probs[1:]))
 
 
@@ -280,6 +260,12 @@ def test_sweep_validates_inputs():
     with pytest.raises(ConfigurationError):
         run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), (Scheme.Joint,), 100,
                   SeedSpec(83, 0), joint_method="printed", scale_mode="derived")
+    # the last block's index must fit a seed key
+    most = 2**56 * montecarlo.TRIALS_PER_BLOCK
+    assert montecarlo._validate_trials(most) == most
+    with pytest.raises(ConfigurationError, match="trials"):
+        run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), (Scheme.FullCsi,), most + 1,
+                  SeedSpec(83, 0))
     for workers in (0, -2):
         with pytest.raises(ConfigurationError):
             run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), (Scheme.FullCsi,), 100,
@@ -294,9 +280,9 @@ def test_sweep_ris_law_matches_monte_carlo_when_elements_exceed_antennas():
     # the product-gamma law holds for every N >= M and L >= M
     for dims in ((4, 2, 8), (8, 4, 16)):
         cfg = SystemConfig(*dims, tx_snr=1.0)
-        curve = run_sweep(cfg, SweepSpec("snr_db", (0.0, 10.0, 20.0)),
-                          (Scheme.RisCsi,), 102_400, SeedSpec(84, 0))
-        for point in curve.points:
+        points = run_sweep(cfg, SweepSpec("snr_db", (0.0, 10.0, 20.0)),
+                           (Scheme.RisCsi,), 102_400, SeedSpec(84, 0))
+        for point in points:
             want = point.analytic[Scheme.RisCsi]
             est = point.empirical[Scheme.RisCsi]
             assert 0.01 < want < 0.99
@@ -323,17 +309,6 @@ def test_sweep_law_failure_stops_before_sampling(monkeypatch):
         run_sweep(SMALL, SweepSpec("snr_db", (0.0, 5.0, 10.0)),
                   (Scheme.DirectCsi, Scheme.RisCsi), 1_000, SeedSpec(86, 0))
     assert sampled == []
-
-
-def test_curve_metadata():
-    curve = run_sweep(SMALL, SweepSpec("snr_db", (0.0, 5.0)),
-                      (Scheme.Joint, Scheme.DirectCsi), 1_500, SeedSpec(85, 0))
-    assert curve.schemes == (Scheme.DirectCsi, Scheme.Joint)
-    assert curve.stream_index == {Scheme.DirectCsi: 0, Scheme.Joint: 1}
-    assert curve.trials == 1_500
-    assert curve.seed == SeedSpec(85, 0)
-    assert curve.scale_mode == "derived"
-    assert curve.joint_method == "quadrature"
 
 
 # --- trial slices -------------------------------------------------------------
@@ -373,7 +348,8 @@ def test_slices_give_the_bytes_of_one_piece(monkeypatch, size, per):
             assert got[s].shape == ref[s].shape
             assert got[s].tobytes() == ref[s].tobytes(), (s, streams is None)
         # the block loop: each slice drawn and detected in turn
-        parts, failures = montecarlo._chunk((SLICED, ALL, streams, 91, 4, [size]))
+        trials = 4 * montecarlo.TRIALS_PER_BLOCK + size  # block 4 is the last
+        parts, failures = montecarlo._chunk((SLICED, ALL, streams, 91, 4, 5, trials))
         assert failures == int(size - ref_ok.sum())
         for s in ALL:
             joined = np.concatenate(parts[s])
@@ -384,7 +360,7 @@ def test_block_working_set_is_bounded_by_the_slice_budget():
     # a whole (64,8,64) block of variates is 84 MB; its slices hold one
     # budget of variates plus the cascade and Gram stacks made from them
     cfg = SystemConfig(64, 8, 64)
-    payload = (cfg, ALL, resolve_streams(cfg, ALL), 92, 0, [montecarlo.TRIALS_PER_BLOCK])
+    payload = (cfg, ALL, resolve_streams(cfg, ALL), 92, 0, 1, montecarlo.TRIALS_PER_BLOCK)
     tracemalloc.start()
     try:
         montecarlo._chunk(payload)
