@@ -18,7 +18,13 @@ part of the channel the receiver is assumed to know. With g_i(A) =
 
 The kernels never factor A. Each block forms three trials-last Gram stacks,
 G_d = H_d^H H_d, G_b = B^H B and X = H_d^H B, and one Gaussian elimination
-serves all four schemes. Its pivots are the |r_kk|^2 of the QR factor with
+serves all four schemes. The Gram products are float64 matmuls on the
+interleaved (re, im) views of the complex stacks (see `_gram`): at the
+paper's small arrays a stacked complex128 matmul costs about five times as
+much per matrix in call overhead. The cascade B itself stays a complex128
+matmul (`channel.cascade_batch`), where the float64 form measured slower.
+Only the upper triangle is eliminated, since nothing reads the lower one
+again. The elimination's pivots are the |r_kk|^2 of the QR factor with
 the same column order. With column i put last, the last pivot of G_d, G_b
 or G_d + G_b + X + X^H is 1/g_i. For Joint, G_d is bordered by the columns
 X[:, i] = H_d^H b_i; once pivots 0..i-1 are eliminated, row i holds
@@ -94,10 +100,47 @@ def check_cascade_rank(cfg):
         )
 
 
-def _gram(a, b):
-    """Trials-last stack of A^H B, (m, m', count), from (count, n, m) and
-    (count, n, m') stacks, so each matrix entry is a contiguous run."""
-    return np.ascontiguousarray((a.conj().transpose(0, 2, 1) @ b).transpose(1, 2, 0))
+def _gram(a, *bs):
+    """Trials-last stacks of A^H B, (m, m', count), one per B in ``bs``,
+    from a (count, n, m) stack A and (count, n, m') stacks B, so each
+    matrix entry is a contiguous run.
+
+    Each product is one float64 matmul of the interleaved (re, im) views,
+    P = A_f^T B_f of shape (count, 2m, 2m'): a stacked complex128 matmul
+    costs about five times as much per matrix in call overhead at the
+    paper's small arrays (0.31 against 0.06 us per 2x4 by 4x2 product).
+    Viewed as complex along its rows, P holds Z_a = A_a^T B for the real
+    (a = 0) and imaginary (a = 1) parts of A in alternate rows, and
+    A^H B = Z_0 - j Z_1, which is re P[2i, 2j] + P[2i+1, 2j+1] and
+    im P[2i, 2j+1] - P[2i+1, 2j]; for a self product the two halves of each
+    imaginary diagonal entry are the same products, so it is exactly 0.
+
+    The left operand is one C-ordered copy of A, shared by every product.
+    The copy is what keeps a self product (B is A) on two buffers: numpy
+    sends x^T @ x down a per-matrix syrk path, which took 1.7 times as
+    long as gemm on a 342-trial (32, 12, 16) stack. A B whose last axis is
+    not contiguous, such as a column permutation, is copied before its
+    float64 view is taken.
+    """
+    left = np.array(a, order="C").view(np.float64).transpose(0, 2, 1)
+    return [_interleaved_product(left, b) for b in bs]
+
+
+def _interleaved_product(left, b):
+    """Trials-last A^H B from the float64 view of A^T and the stack B.
+
+    Z_0 - j Z_1 is written straight into the trials-last stack, one pass
+    over P with no transposing copy after it; recombining in place in P's
+    own rows measured 1.6 to 4 times as slow. P is freed on return, before
+    the next product allocates its own.
+    """
+    if b.strides[-1] != b.itemsize:
+        b = np.ascontiguousarray(b)
+    p = (left @ b.view(np.float64)).view(np.complex128).transpose(1, 2, 0)
+    g = np.empty((p.shape[0] // 2,) + p.shape[1:], dtype=np.complex128)
+    np.multiply(p[1::2], -1j, out=g)
+    g += p[0::2]
+    return g
 
 
 def _eliminate(g):
@@ -106,15 +149,19 @@ def _eliminate(g):
     block is Hermitian.
 
     Row j ends as the Schur complement row left once pivots 0..j-1 are
-    eliminated. pivots is (k, count) and ok flags the trials whose smallest
-    pivot exceeds RANK_RTOL times the largest; a NaN pivot fails the test.
+    eliminated. Only the upper triangle is updated: the row and factor of
+    step j both come from row j, and the pivots and the border lie on or
+    above the diagonal, so the lower triangle is never read again. pivots
+    is (k, count) and ok flags the trials whose smallest pivot exceeds
+    RANK_RTOL times the largest; a NaN pivot fails the test.
     """
     k = g.shape[0]
     for j in range(k - 1):
         row = g[j, j + 1:]
         factor = row[:k - 1 - j].conj()
         factor *= 1.0 / g[j, j].real
-        g[j + 1:, j + 1:] -= factor[:, np.newaxis] * row
+        for r in range(k - 1 - j):
+            g[j + 1 + r, j + 1 + r:] -= factor[r] * row[r:]
     # a copy, so that holding the pivots does not keep the whole stack alive
     pivots = np.diagonal(g).real.T.copy()
     return pivots, pivots.min(axis=0) > RANK_RTOL * pivots.max(axis=0)
@@ -163,12 +210,12 @@ def _slice_gammas(batch, cfg, schemes, streams):
     direct = batch.direct
     cascade = cascade_batch(batch) if wanted - {Scheme.DirectCsi} else None
     grams = {}
-    if wanted & {Scheme.DirectCsi, Scheme.FullCsi, Scheme.Joint}:
-        grams[Scheme.DirectCsi] = _gram(direct, direct)
-    if wanted & {Scheme.RisCsi, Scheme.FullCsi}:
-        grams[Scheme.RisCsi] = _gram(cascade, cascade)
     if wanted & {Scheme.FullCsi, Scheme.Joint}:
-        cross = _gram(direct, cascade)
+        grams[Scheme.DirectCsi], cross = _gram(direct, direct, cascade)
+    elif Scheme.DirectCsi in wanted:
+        grams[Scheme.DirectCsi], = _gram(direct, direct)
+    if wanted & {Scheme.RisCsi, Scheme.FullCsi}:
+        grams[Scheme.RisCsi], = _gram(cascade, cascade)
     if Scheme.FullCsi in wanted:
         grams[Scheme.FullCsi] = (grams[Scheme.DirectCsi] + grams[Scheme.RisCsi]
                                  + cross + cross.conj().transpose(1, 0, 2))

@@ -1,7 +1,8 @@
 """Code that only the tests use: the per-stream outage estimator, the
 composite channel, the Gaussian cascade surrogate, the conditional
-joint-detection law, the QR formulation of the detector kernels and the
-manifest the CLI builds from its arguments.
+joint-detection law, the QR formulation of the detector kernels, the
+full-update form of their elimination and the manifest the CLI builds
+from its arguments.
 
 Each is built from the package's own pieces, so what it checks is the
 package: the same block loop, draws, threshold map and special functions
@@ -172,6 +173,20 @@ def qr_gammas(batch, cfg, schemes, streams=None):
             gammas[s] = p / ((interference_power(cfg, s, p) + 1.0) * g)
         ok &= k
     return gammas, ok
+
+
+def eliminate_full_update(g):
+    """`detectors._eliminate` with the whole trailing block updated at each
+    step, lower triangle included: the reference that the kernel's
+    upper-triangle update must match bit for bit."""
+    k = g.shape[0]
+    for j in range(k - 1):
+        row = g[j, j + 1:]
+        factor = row[:k - 1 - j].conj()
+        factor *= 1.0 / g[j, j].real
+        g[j + 1:, j + 1:] -= factor[:, np.newaxis] * row
+    pivots = np.diagonal(g).real.T.copy()
+    return pivots, pivots.min(axis=0) > RANK_RTOL * pivots.max(axis=0)
 
 
 def cli_manifest(*argv):

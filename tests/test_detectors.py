@@ -1,5 +1,6 @@
 """Detector SNR kernels: hand-built cases, distributions, an independent
-per-trial oracle, the QR reference, and the one-stream path."""
+per-trial oracle, the QR reference, the one-stream path, and the Gram
+product and elimination they are built from."""
 
 import math
 import warnings
@@ -9,10 +10,10 @@ import pytest
 from scipy import stats
 
 from rismimo.channel import ChannelBatch, SeedSpec, SystemConfig, draw_channel_batch
-from rismimo.detectors import Scheme, batch_gammas, threshold_from_rate
+from rismimo.detectors import Scheme, _eliminate, _gram, batch_gammas, threshold_from_rate
 from rismimo.errors import ConfigurationError
 
-from helpers import qr_gammas
+from helpers import eliminate_full_update, qr_gammas
 
 
 ALL = tuple(Scheme)
@@ -287,3 +288,66 @@ def test_batch_requested_schemes_only():
     gam, _ = batch_gammas(batch, cfg, (Scheme.Joint,))
     assert set(gam) == {Scheme.Joint}
     assert gam[Scheme.Joint].shape == (3, 2)
+
+
+def _complex_stack(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _complex_gram(a, b):
+    """Trials-last A^H B by numpy's complex matmul."""
+    return (a.conj().transpose(0, 2, 1) @ b).transpose(1, 2, 0)
+
+
+@pytest.mark.parametrize("shape", ((4, 2, 2), (32, 12, 16)), ids=str)
+@pytest.mark.parametrize("kind", ("contiguous", "column-permuted", "one-trial"))
+def test_gram_matches_complex_matmul(kind, shape):
+    # the interleaved float64 products against the complex ones, for a self
+    # and a cross product sharing one left operand
+    n, m, m2 = shape
+    rng = np.random.default_rng(31)
+    count = 1 if kind == "one-trial" else 257
+    a = _complex_stack(rng, count, n, m)
+    b = _complex_stack(rng, count, n, m2)
+    if kind == "column-permuted":
+        # a stack whose last axis is not contiguous, as a column
+        # permutation of the channel gives
+        a = a[:, :, rng.permutation(m)]
+        b = b[:, :, rng.permutation(m2)]
+        assert a.strides[-1] != a.itemsize and b.strides[-1] != b.itemsize
+    g_self, g_cross = _gram(a, a, b)
+    for got, want in ((g_self, _complex_gram(a, a)), (g_cross, _complex_gram(a, b))):
+        assert got.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    # the two halves of each imaginary diagonal entry are the same products
+    assert np.all(np.diagonal(g_self).imag == 0.0)
+
+
+@pytest.mark.parametrize("kind", ("hermitian", "rank-deficient", "bordered"))
+def test_elimination_matches_full_update(kind):
+    # updating only the upper triangle leaves every value the kernels read
+    # (pivots, rank flags and the upper triangle with its border) bit-equal
+    rng = np.random.default_rng(32)
+    for n, k in ((4, 2), (8, 4), (32, 12), (32, 14)):
+        a = _complex_stack(rng, 64, n, k)
+        if kind == "rank-deficient":
+            a[3, :, 1] = a[3, :, 0]
+            a[5] = 0.0
+            a[7, :, k - 1] = 2j * a[7, :, 0]
+        g = _complex_gram(a, a)
+        if kind == "bordered":
+            # the joint form: G_d bordered by one column of X = H_d^H B
+            x = _complex_gram(a, _complex_stack(rng, 64, n, k))
+            g = np.concatenate((g, x[:, k - 1:]), axis=1)
+        got_g, want_g = np.array(g, order="C"), np.array(g, order="C")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, got_ok = _eliminate(got_g)
+            want, want_ok = eliminate_full_update(want_g)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_ok, want_ok)
+        for r in range(k):
+            np.testing.assert_array_equal(got_g[r, r:], want_g[r, r:])
+        if kind == "rank-deficient":
+            assert np.flatnonzero(~got_ok).tolist() == [3, 5, 7]
+        else:
+            assert got_ok.all()
