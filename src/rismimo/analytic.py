@@ -10,14 +10,12 @@ whose per-stream variance psi2 depends on the selected scale mode (see
 elements.
 """
 
-import math
-
 import numpy as np
 from scipy.special import betainc, gammainc
 
-from .channel import DEFAULT_SCALE_MODE, SCALE_PAPER, clt_psi2
+from .channel import DEFAULT_SCALE_MODE, SCALE_PAPER, check_stream, clt_psi2
 from .detectors import Scheme, check_cascade_rank, interference_power
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_nonnegative
 from .specfun import (
     adaptive_quad,  # unused here; bench/tracing.py wraps analytic.adaptive_quad
     gamma_expectation_rule,
@@ -33,28 +31,14 @@ JOINT_METHODS = (JOINT_PRINTED, JOINT_QUADRATURE)
 DEFAULT_JOINT_METHOD = JOINT_QUADRATURE
 
 
-def _check_stream(cfg, i):
-    if not (0 <= i < cfg.streams):
-        raise ConfigurationError(
-            f"stream index {i} out of range for {cfg.streams} streams"
-        )
-
-
-def _check_threshold(gamma_th):
-    g = float(gamma_th)
-    if g < 0 or not math.isfinite(g):
-        raise ConfigurationError(f"gamma_th must be finite and >= 0, got {gamma_th}")
-    return g
-
-
 def outage_direct(cfg, i, gamma_th):
     """Direct-CSI outage: P(n, gamma_th (p L xi2_H S_G + 1)/(p xi2_D,i)).
 
     n = N - M + 1 and S_G = sum_k xi2_G,k; exact for Rayleigh links because
     1/(xi2_D,i [(H_d^H H_d)^{-1}]_{ii}) is Gamma(n) distributed.
     """
-    _check_stream(cfg, i)
-    g = _check_threshold(gamma_th)
+    i = check_stream(cfg, i)
+    g = check_nonnegative(gamma_th, "gamma_th")
     p = cfg.tx_snr
     noise = interference_power(cfg, Scheme.DirectCsi, p) + 1.0
     shape = cfg.rx_antennas - cfg.streams + 1
@@ -63,8 +47,8 @@ def outage_direct(cfg, i, gamma_th):
 
 def outage_direct_limit(cfg, i, gamma_th):
     """p -> inf limit of outage_direct (the outage floor)."""
-    _check_stream(cfg, i)
-    g = _check_threshold(gamma_th)
+    i = check_stream(cfg, i)
+    g = check_nonnegative(gamma_th, "gamma_th")
     scale = interference_power(cfg, Scheme.DirectCsi)
     shape = cfg.rx_antennas - cfg.streams + 1
     return regularized_lower_gamma(shape, g * scale / cfg.gain_direct[i])
@@ -88,9 +72,9 @@ def outage_ris(cfg, i, gamma_th):
     kappa = (p sum_k xi2_D,k + 1)/(p xi2_H xi2_G,i), for every N >= M and
     L >= M.
     """
-    _check_stream(cfg, i)
+    i = check_stream(cfg, i)
     check_cascade_rank(cfg)
-    g = _check_threshold(gamma_th)
+    g = check_nonnegative(gamma_th, "gamma_th")
     n1 = cfg.rx_antennas - cfg.streams + 1
     n2 = cfg.ris_elements - cfg.streams + 1
     return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i) * g)
@@ -98,9 +82,9 @@ def outage_ris(cfg, i, gamma_th):
 
 def outage_ris_limit(cfg, i, gamma_th):
     """p -> inf limit of outage_ris (the outage floor)."""
-    _check_stream(cfg, i)
+    i = check_stream(cfg, i)
     check_cascade_rank(cfg)
-    g = _check_threshold(gamma_th)
+    g = check_nonnegative(gamma_th, "gamma_th")
     n1 = cfg.rx_antennas - cfg.streams + 1
     n2 = cfg.ris_elements - cfg.streams + 1
     return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i, limit=True) * g)
@@ -113,8 +97,8 @@ def outage_full_clt(cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):
     gives P(out) = P(N-M+1, gamma_th / (p (xi2_D,i + psi2_i))). No floor:
     the argument vanishes as p grows.
     """
-    _check_stream(cfg, i)
-    g = _check_threshold(gamma_th)
+    i = check_stream(cfg, i)
+    g = check_nonnegative(gamma_th, "gamma_th")
     psi2 = clt_psi2(cfg, mode)[i]
     shape = cfg.rx_antennas - cfg.streams + 1
     return regularized_lower_gamma(
@@ -150,8 +134,8 @@ def outage_joint(
     constants hard-code the paper scaling, so it is only accepted with
     mode="paper".
     """
-    _check_stream(cfg, i)
-    g = _check_threshold(gamma_th)
+    i = check_stream(cfg, i)
+    g = check_nonnegative(gamma_th, "gamma_th")
     if method not in JOINT_METHODS:
         raise ConfigurationError(
             f"joint method must be one of {JOINT_METHODS}, got {method!r}"

@@ -19,11 +19,12 @@ across processes, or of how many trials each call draws.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_count, check_positive
 
 # Scale conventions for the Gaussian stand-in of the cascaded channel.
 # "derived" matches the second moment of H diag(e^{j phi}) G directly:
@@ -84,25 +85,30 @@ class SystemConfig:
 
     def __post_init__(self):
         for name in ("rx_antennas", "streams", "ris_elements"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < 1:
-                raise ConfigurationError(f"{name} must be a positive integer, got {v!r}")
+            check_count(getattr(self, name), name)
         if self.streams > self.rx_antennas:
             raise ConfigurationError(
                 f"need rx_antennas >= streams, got {self.rx_antennas} < {self.streams}"
             )
-        if not (math.isfinite(self.tx_snr) and self.tx_snr > 0):
-            raise ConfigurationError(f"tx_snr must be finite and > 0, got {self.tx_snr}")
-        if not (math.isfinite(self.rate) and self.rate > 0):
-            raise ConfigurationError(f"rate must be finite and > 0, got {self.rate}")
-        if not (math.isfinite(self.gain_ris_rx) and self.gain_ris_rx > 0):
-            raise ConfigurationError("gain_ris_rx must be finite and > 0")
+        for name in ("tx_snr", "rate", "gain_ris_rx"):
+            check_positive(getattr(self, name), name)
         object.__setattr__(
             self, "gain_direct", _gain_vector(self.gain_direct, self.streams, "gain_direct")
         )
         object.__setattr__(
             self, "gain_tx_ris", _gain_vector(self.gain_tx_ris, self.streams, "gain_tx_ris")
         )
+
+
+def check_stream(cfg, index):
+    """``index`` as an int if it is an integer stream index of ``cfg``."""
+    if not isinstance(index, numbers.Integral) or isinstance(index, bool):
+        raise ConfigurationError(f"stream index must be an integer, got {index!r}")
+    if not 0 <= index < cfg.streams:
+        raise ConfigurationError(
+            f"stream index {index} out of range for {cfg.streams} streams"
+        )
+    return int(index)
 
 
 @dataclass(frozen=True)
@@ -198,8 +204,7 @@ def draw_channel_batch(cfg, seed, count):
     concatenate to a single draw, and per-trial content never depends on
     the batch split.
     """
-    if count < 1:
-        raise ConfigurationError(f"count must be >= 1, got {count}")
+    count = check_count(count, "count")
     n, m, l = cfg.rx_antennas, cfg.streams, cfg.ris_elements
     entries, phases = channel_generators(seed) if isinstance(seed, SeedSpec) else seed
     x = entries.standard_normal((count, 2 * (n * m + n * l + l * m)))

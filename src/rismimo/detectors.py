@@ -41,7 +41,7 @@ import enum
 import numpy as np
 
 from .channel import cascade_batch, trial_slices
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_positive
 
 # A matrix is treated as rank deficient unless its smallest elimination
 # pivot exceeds RANK_RTOL times its largest, so the test is size- and
@@ -71,9 +71,11 @@ class Scheme(enum.Enum):
 
 def threshold_from_rate(rate):
     """SNR threshold gamma_th = 2^rate - 1 for a target rate in bit/s/Hz."""
-    if not rate > 0:
-        raise ConfigurationError(f"rate must be > 0, got {rate}")
-    return float(2.0**rate - 1.0)
+    rate = check_positive(rate, "rate")
+    try:
+        return 2.0**rate - 1.0
+    except OverflowError:
+        raise ConfigurationError(f"rate {rate} overflows a float threshold") from None
 
 
 def interference_power(cfg, scheme, p=1.0):
@@ -184,7 +186,8 @@ def batch_gammas(batch, cfg, schemes, streams=None):
     has shape (count,) and holds that stream alone, which costs one
     elimination per scheme. Flagged trials read 0. The trials are worked
     in the slices of `channel.trial_slices`, which bounds the working set
-    and leaves every byte as one piece would give it.
+    and leaves every byte as one piece would give it; the benchmark's
+    first-block check passes a whole block here.
     """
     if Scheme.RisCsi in schemes:
         check_cascade_rank(cfg)

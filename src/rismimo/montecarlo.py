@@ -27,11 +27,12 @@ from .channel import (
     DEFAULT_SCALE_MODE,
     SeedSpec,
     channel_generators,
+    check_stream,
     draw_channel_batch,
     trial_slices,
 )
 from .detectors import Scheme, batch_gammas, interference_power, threshold_from_rate
-from .errors import ConfigurationError, NumericalRankError
+from .errors import ConfigurationError, NumericalRankError, check_count, check_positive
 from . import analytic
 
 TRIALS_PER_BLOCK = 1024
@@ -121,12 +122,7 @@ def resolve_streams(cfg, schemes, stream=None):
             idx = stream.get(s, default_report_stream(cfg, s))
         else:
             idx = stream
-        idx = int(idx)
-        if not 0 <= idx < cfg.streams:
-            raise ConfigurationError(
-                f"stream index {idx} out of range for {cfg.streams} streams"
-            )
-        out[s] = idx
+        out[s] = check_stream(cfg, idx)
     return out
 
 
@@ -136,9 +132,7 @@ def threshold_at_unit_snr(scheme, cfg, tx_snr, gamma_th):
     Counting unit-power SNR samples against this value reproduces, trial
     for trial, the event {gamma_i(p) < gamma_th}.
     """
-    p = float(tx_snr)
-    if p <= 0.0 or not math.isfinite(p):
-        raise ConfigurationError(f"transmit SNR must be positive, got {p}")
+    p = check_positive(tx_snr, "tx_snr")
     if gamma_th == math.inf:
         return math.inf
     c = interference_power(cfg, scheme)
@@ -183,9 +177,7 @@ def _chunk(payload):
 def _collect(cfg, schemes, streams, trials, seed, workers):
     """All trial blocks through `_chunk` in ``workers`` payloads:
     ({scheme: block results in index order}, failures)."""
-    workers = int(workers)
-    if workers < 1:
-        raise ConfigurationError(f"workers must be >= 1, got {workers}")
+    workers = check_count(workers, "workers")
     payloads = [
         (cfg, schemes, streams, seed.master_seed, lo, hi, trials)
         for lo, hi in _chunk_ranges(-(-trials // TRIALS_PER_BLOCK), workers)
@@ -213,9 +205,7 @@ def _check_failures(failures, trials):
 
 
 def _validate_trials(trials):
-    trials = int(trials)
-    if trials < 1:
-        raise ConfigurationError(f"trials must be >= 1, got {trials}")
+    trials = check_count(trials, "trials")
     try:
         SeedSpec(0, (trials - 1) // TRIALS_PER_BLOCK)  # the last block's key
     except ConfigurationError as exc:
@@ -309,6 +299,7 @@ def run_sweep(
         raise ConfigurationError("sweep must be a SweepSpec")
     schemes = canonical_schemes(schemes)
     trials = _validate_trials(trials)
+    workers = check_count(workers, "workers")
     streams = resolve_streams(cfg, schemes, stream)
 
     # Closed forms first, so a failing law stops the run before the Monte

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammainc, gammainccinv, gammaln, kve
 
-from .errors import ConfigurationError, NumericError
+from .errors import (ConfigurationError, NumericError, check_count,
+                     check_nonnegative, check_positive)
 
 # Longest k-grid marcum_complement_gamma_average may build: 8 MB per array.
 _MAX_SERIES_TERMS = 1 << 20
@@ -47,15 +48,9 @@ class QuadratureSpec:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ConfigurationError("quadrature tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ConfigurationError("max_subdivisions must be at least 1")
-
-
-def _check_count(n, name):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise ConfigurationError(f"{name} must be a positive integer, got {n!r}")
+        check_positive(self.rel_tol, "rel_tol")
+        check_positive(self.abs_tol, "abs_tol")
+        check_count(self.max_subdivisions, "max_subdivisions")
 
 
 def regularized_upper_gamma(n, x):
@@ -64,10 +59,8 @@ def regularized_upper_gamma(n, x):
     Equals exp(-x) * sum_{k=0}^{n-1} x^k / k!, the survival function of a
     unit-scale Gamma(n) variate at x.
     """
-    _check_count(n, "shape")
-    x = float(x)
-    if x < 0 or not math.isfinite(x):
-        raise ConfigurationError(f"argument must be finite and >= 0, got {x}")
+    n = check_count(n, "shape")
+    x = check_nonnegative(x, "argument")
     if x == 0.0:
         return 1.0
     if x < 700.0:
@@ -93,10 +86,8 @@ def regularized_lower_gamma(n, x):
     under ~1e-16; the convergent tail series exp(-x) * sum_{k>=n} x^k / k!
     keeps full relative accuracy there.
     """
-    _check_count(n, "shape")
-    x = float(x)
-    if x < 0 or not math.isfinite(x):
-        raise ConfigurationError(f"argument must be finite and >= 0, got {x}")
+    n = check_count(n, "shape")
+    x = check_nonnegative(x, "argument")
     if x == 0.0:
         return 0.0
     if x >= n:
@@ -122,10 +113,8 @@ def _marcum_parts(a, b):
     neglected weight below 1e-14 as required, and the complement is summed
     from its own positive series rather than as 1 - Q.
     """
-    a = float(a)
-    b = float(b)
-    if a < 0 or b < 0 or not (math.isfinite(a) and math.isfinite(b)):
-        raise ConfigurationError("Marcum Q arguments must be finite and >= 0")
+    a = check_nonnegative(a, "Marcum Q argument a")
+    b = check_nonnegative(b, "Marcum Q argument b")
     h = 0.5 * a * a
     x = 0.5 * b * b
     if x == 0.0:
@@ -180,13 +169,9 @@ def marcum_complement_gamma_average(n, w, x):
     the weight out at n = 1, w = 25.) A grid longer than _MAX_SERIES_TERMS
     raises NumericError before anything is allocated.
     """
-    _check_count(n, "gamma shape")
-    w = float(w)
-    x = float(x)
-    if not (w > 0) or not math.isfinite(w):
-        raise ConfigurationError(f"weight ratio must be finite and > 0, got {w}")
-    if x < 0 or not math.isfinite(x):
-        raise ConfigurationError(f"argument must be finite and >= 0, got {x}")
+    n = check_count(n, "gamma shape")
+    w = check_positive(w, "weight ratio")
+    x = check_nonnegative(x, "argument")
     if x == 0.0:
         return 0.0
     rate = w * float(gammainccinv(n, 1e-16))
@@ -223,7 +208,7 @@ def kummer_1f1_c2(a, x):
     1F1(a; 2; x) = e^x * 1F1(2-a; 2; -x), and the right factor terminates
     after a-1 terms. a = 1 reduces to (e^x - 1)/x and a = 2 to e^x.
     """
-    _check_count(a, "numerator parameter")
+    a = check_count(a, "numerator parameter")
     x = float(x)
     if not math.isfinite(x):
         raise ConfigurationError(f"argument must be finite, got {x}")
@@ -273,8 +258,7 @@ def gamma_expectation_rule(shape):
     Exact for polynomials of degree < 96. Built once per shape; the arrays
     are shared and read-only.
     """
-    _check_count(shape, "gamma shape")
-    return _gamma_rule(int(shape))
+    return _gamma_rule(check_count(shape, "gamma shape"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -385,11 +369,9 @@ def product_gamma_cdf(n1, n2, z):
     j^-(K+1). That sum stops at j = J once Markov's inequality puts what
     is left, P(U'' W <= z) with U'' ~ Gamma(J), below 1e-17 of the total.
     """
-    _check_count(n1, "first shape")
-    _check_count(n2, "second shape")
-    z = float(z)
-    if z < 0 or not math.isfinite(z):
-        raise ConfigurationError(f"threshold must be finite and >= 0, got {z}")
+    n1 = check_count(n1, "first shape")
+    n2 = check_count(n2, "second shape")
+    z = check_nonnegative(z, "threshold")
     if z == 0.0:
         return 0.0
     a, b = min(n1, n2), max(n1, n2)

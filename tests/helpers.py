@@ -15,16 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from rismimo import cli
-from rismimo.analytic import _check_stream, _check_threshold
 from rismimo.channel import (
     DEFAULT_SCALE_MODE,
     _DOMAIN_SURROGATE,
     _generator,
     cascade_batch,
+    check_stream,
     clt_psi2,
 )
 from rismimo.detectors import RANK_RTOL, Scheme, interference_power
-from rismimo.errors import ConfigurationError
+from rismimo.errors import ConfigurationError, check_nonnegative
 from rismimo.montecarlo import (
     _collect,
     _estimate_from_count,
@@ -93,10 +93,9 @@ def outage_joint_conditional(y, cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):
     law in `analytic.outage_joint` averages this over the random cascade
     variance.
     """
-    _check_stream(cfg, i)
-    g = _check_threshold(gamma_th)
-    if y < 0 or not math.isfinite(y):
-        raise ConfigurationError(f"conditional power must be finite and >= 0, got {y}")
+    check_stream(cfg, i)
+    g = check_nonnegative(gamma_th, "gamma_th")
+    y = check_nonnegative(y, "conditional power")
     sigma2 = 0.5 * cfg.tx_snr * clt_psi2(cfg, mode)[i]
     return marcum_q1_complement(math.sqrt(y / sigma2), math.sqrt(g / sigma2))
 

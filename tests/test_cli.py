@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rismimo
-from rismimo import analytic, cli
+from rismimo import analytic, cli, montecarlo
 from rismimo.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
@@ -235,6 +235,23 @@ def test_extreme_snr_db_is_a_configuration_error(tmp_path, capsys):
         assert "Traceback" not in err, err
 
 
+def test_overflowing_rate_is_a_configuration_error(tmp_path, capsys, monkeypatch):
+    # 2**1100 overflows a float; the threshold is worked out before sampling
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling ran before the rate was checked")
+
+    monkeypatch.setattr(montecarlo, "snr_samples", no_sampling)
+    for sweep in (("--rate", "1100"), ("--snr-db", "0", "--rate-fixed", "1100")):
+        out = tmp_path / "rate.csv"
+        argv = ["--n", "6", "--m", "2", "--l", "2", "--trials", "100",
+                "--output", str(out), *sweep]
+        assert main(argv) == EXIT_CONFIG, sweep
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "configuration error: rate 1100.0 overflows a float threshold" in err, err
+        assert "Traceback" not in err, err
+
+
 def test_integer_flags_reject_non_integers(tmp_path, capsys):
     # the message states the rule the value broke, not the converter's name
     integer = "expected an integer, got"
@@ -277,6 +294,19 @@ def test_trial_count_beyond_the_seed_key_fails_before_any_law(tmp_path, capsys,
     assert not out.exists()
     err = capsys.readouterr().err
     assert "configuration error: trials 1000000000000000000000000" in err, err
+
+
+def test_zero_workers_fail_before_any_law(tmp_path, capsys, monkeypatch):
+    def no_law(*args, **kwargs):
+        raise AssertionError("a law ran before the worker count was checked")
+
+    for name in ("outage_direct", "outage_ris", "outage_full_clt", "outage_joint"):
+        monkeypatch.setattr(analytic, name, no_law)
+    status, out = _run_small(tmp_path, "idle.csv", ("--workers", "0"))
+    assert status == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error: workers must be a positive integer, got 0" in err, err
 
 
 def test_seed_beyond_float_precision_is_kept_exactly(tmp_path):

@@ -22,10 +22,10 @@ ALL = tuple(Scheme)
 def test_threshold_from_rate():
     assert threshold_from_rate(3.0) == 7.0
     assert threshold_from_rate(1.0) == 1.0
-    with pytest.raises(ConfigurationError):
-        threshold_from_rate(0.0)
-    with pytest.raises(ConfigurationError):
-        threshold_from_rate(-2.0)
+    # 2**1100 overflows a float, and inf has no threshold
+    for rate in (0.0, -2.0, math.inf, math.nan, 1100.0):
+        with pytest.raises(ConfigurationError):
+            threshold_from_rate(rate)
 
 
 def test_scheme_tokens_round_trip():

@@ -273,6 +273,18 @@ def test_sweep_validates_inputs():
         with pytest.raises(ConfigurationError):
             estimate_outage(SMALL, Scheme.FullCsi, 1.0, 100, SeedSpec(83, 0),
                             workers=workers)
+    # no count or index is truncated: trials 2.9 would run 2 trials
+    for bad in ({"trials": 2.9}, {"trials": True}, {"workers": 1.5}, {"stream": 1.7}):
+        args = {"trials": 100, **bad}
+        trials = args.pop("trials")
+        with pytest.raises(ConfigurationError):
+            run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), (Scheme.FullCsi,), trials,
+                      SeedSpec(83, 0), **args)
+        with pytest.raises(ConfigurationError):
+            snr_samples(SMALL, (Scheme.FullCsi,), trials, SeedSpec(83, 0), **args)
+    samples, _ = snr_samples(SMALL, (Scheme.FullCsi,), np.int64(3), SeedSpec(83, 0),
+                             stream=np.int64(1), workers=np.int64(1))
+    assert samples[Scheme.FullCsi].size == 3
 
 
 def test_sweep_ris_law_matches_monte_carlo_when_elements_exceed_antennas():

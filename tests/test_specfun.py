@@ -233,10 +233,10 @@ def test_gamma_expectation_rule_is_built_once_and_read_only():
 # --- adaptive quadrature wrapper ---------------------------------------------
 
 def test_quadrature_spec_validation():
-    with pytest.raises(ConfigurationError):
-        QuadratureSpec(rel_tol=-1e-9)
-    with pytest.raises(ConfigurationError):
-        QuadratureSpec(max_subdivisions=0)
+    for bad in ({"rel_tol": -1e-9}, {"abs_tol": math.inf},
+                {"max_subdivisions": 0}, {"max_subdivisions": 1.5}):
+        with pytest.raises(ConfigurationError):
+            QuadratureSpec(**bad)
 
 
 def test_adaptive_quad_reports_label_and_tolerance():
