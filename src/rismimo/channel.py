@@ -19,12 +19,11 @@ across processes, or of how many trials each call draws.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, check_count, check_positive
+from .errors import ConfigurationError, check_count, check_index, check_positive
 
 # Scale conventions for the Gaussian stand-in of the cascaded channel.
 # "derived" matches the second moment of H diag(e^{j phi}) G directly:
@@ -102,13 +101,12 @@ class SystemConfig:
 
 def check_stream(cfg, index):
     """``index`` as an int if it is an integer stream index of ``cfg``."""
-    if not isinstance(index, numbers.Integral) or isinstance(index, bool):
-        raise ConfigurationError(f"stream index must be an integer, got {index!r}")
-    if not 0 <= index < cfg.streams:
+    index = check_index(index, "stream index")
+    if index >= cfg.streams:
         raise ConfigurationError(
             f"stream index {index} out of range for {cfg.streams} streams"
         )
-    return int(index)
+    return index
 
 
 @dataclass(frozen=True)
@@ -119,12 +117,11 @@ class SeedSpec:
     stream_index: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.master_seed) < 2**64):
-            raise ConfigurationError("master_seed must fit in 64 unsigned bits")
-        if not (0 <= int(self.stream_index) < 2**_STREAM_BITS):
-            raise ConfigurationError(
-                f"stream_index must fit in {_STREAM_BITS} unsigned bits"
-            )
+        for name, bits in (("master_seed", 64), ("stream_index", _STREAM_BITS)):
+            value = check_index(getattr(self, name), name)
+            if value >= 2**bits:
+                raise ConfigurationError(f"{name} must fit in {bits} unsigned bits")
+            object.__setattr__(self, name, value)
 
 
 def _generator(seed, domain):
@@ -136,9 +133,7 @@ def _generator(seed, domain):
     its ints become variable-length 32-bit words, and [2**32, 0, 5] is
     the same input as [0, 1, 5 * 2**32].
     """
-    key = np.random.SeedSequence(
-        int(seed.master_seed), spawn_key=(domain, int(seed.stream_index))
-    )
+    key = np.random.SeedSequence(seed.master_seed, spawn_key=(domain, seed.stream_index))
     return np.random.Generator(np.random.SFC64(key))
 
 
@@ -194,7 +189,7 @@ def _entry_scales(cfg):
     )), 2)
 
 
-def draw_channel_batch(cfg, seed, count):
+def draw_channel_batch(cfg, seed, count, out=None):
     """Draw `count` i.i.d. realizations from one substream.
 
     `seed` is a SeedSpec, which starts the substream, or the generator
@@ -203,14 +198,26 @@ def draw_channel_batch(cfg, seed, count):
     stream) is a prefix of a longer one, consecutive draws from one pair
     concatenate to a single draw, and per-trial content never depends on
     the batch split.
+
+    `out`, a C-ordered float64 array of `uniforms_per_trial(cfg)` columns
+    and at least `count` rows, takes the variates in its first `count`
+    rows (every trial's entries, then every trial's phases), and the batch
+    views them; by default a new array is made. Filling a buffer draws
+    the same values as a fresh draw.
     """
     count = check_count(count, "count")
     n, m, l = cfg.rx_antennas, cfg.streams, cfg.ris_elements
     entries, phases = channel_generators(seed) if isinstance(seed, SeedSpec) else seed
-    x = entries.standard_normal((count, 2 * (n * m + n * l + l * m)))
+    if out is None:
+        out = np.empty((count, uniforms_per_trial(cfg)))
+    flat = out[:count].reshape(-1)
+    width = 2 * (n * m + n * l + l * m)
+    x = flat[:count * width].reshape(count, width)
+    phi = flat[x.size:x.size + count * l].reshape(count, l)
+    entries.standard_normal(out=x)
     x *= _entry_scales(cfg)
     d, h, g = np.split(x.view(np.complex128), (n * m, n * m + n * l), axis=1)
-    phi = phases.random((count, l))
+    phases.random(out=phi)
     phi *= 2.0 * np.pi
     return ChannelBatch(
         direct=d.reshape(count, n, m),

@@ -21,6 +21,7 @@ import sys
 from .channel import DEFAULT_SCALE_MODE, SCALE_MODES, SeedSpec, SystemConfig
 from .detectors import Scheme
 from .errors import ConfigurationError, NumericalRankError, NumericError
+from .errors import check_count, check_index
 from .analytic import DEFAULT_JOINT_METHOD, JOINT_METHODS
 from .montecarlo import (
     SweepSpec,
@@ -219,8 +220,7 @@ FLAGS = {
 def pilot_overhead_counts(n, m, l):
     """(channel uses to sound every link, channel uses for the direct link
     alone) for an n-antenna, m-stream, l-element system."""
-    if min(n, m) < 1 or l < 0:
-        raise ConfigurationError("pilot counts need n, m >= 1 and l >= 0")
+    n, m, l = check_count(n, "n"), check_count(m, "m"), check_index(l, "l")
     return n * l * m + n * m, n * m
 
 

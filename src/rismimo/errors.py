@@ -4,9 +4,10 @@ Split by what went wrong rather than where: configuration problems
 (dimensions, invalid parameter combinations), numerical rank failures,
 and convergence failures of numeric routines. The CLI maps each class
 to a distinct exit code. The scalar input rules are written here once:
-`check_count` (a positive integer), `check_positive` (finite and > 0) and
-`check_nonnegative` (finite and >= 0); the stream-index rule is
-`channel.check_stream`. Each returns the checked value, never truncated.
+`check_count` (a positive integer), `check_index` (an integer >= 0),
+`check_positive` (finite and > 0) and `check_nonnegative` (finite and
+>= 0); the stream-index rule is `channel.check_stream`. Each returns the
+checked value, never truncated.
 """
 
 import math
@@ -31,8 +32,17 @@ class NumericError(ArithmeticError):
 
 def check_count(value, name):
     """``value`` as an int if it is an integer >= 1; a bool or a float is not."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+    return _check_integer(value, name, 1, "a positive integer")
+
+
+def check_index(value, name):
+    """``value`` as an int if it is an integer >= 0; a bool or a float is not."""
+    return _check_integer(value, name, 0, "an integer >= 0")
+
+
+def _check_integer(value, name, low, what):
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
     return int(value)
 
 

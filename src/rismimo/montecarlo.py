@@ -5,7 +5,12 @@ All requested detection schemes are evaluated on the same channel draws
 substream per block, and block results are reduced in index order, so the
 outcome is bit-identical for any worker count.  Each block is drawn and
 detected in slices sized by a byte budget, which bounds the memory a
-block holds and changes no output byte.
+block holds and changes no output byte.  One helper thread draws the next
+slice into the second of two reused variate buffers while the detector
+kernels run on the current one; NumPy fills the variates without holding
+the GIL, so the draw and the kernels share two cores.  The helper draws
+the slices in the order a lone thread would, from the same generators
+that only it touches, so no byte depends on the overlap.
 
 Transmit power enters every per-stream SNR through a fixed strictly
 monotone scalar map (gamma is proportional to p for the full-CSI and
@@ -19,7 +24,7 @@ one sample collection.
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import numpy as np
 
@@ -30,6 +35,7 @@ from .channel import (
     check_stream,
     draw_channel_batch,
     trial_slices,
+    uniforms_per_trial,
 )
 from .detectors import Scheme, batch_gammas, interference_power, threshold_from_rate
 from .errors import ConfigurationError, NumericalRankError, check_count, check_positive
@@ -147,27 +153,52 @@ def _chunk_ranges(n_blocks, workers):
     ]
 
 
+def _slice_draws(cfg, master_seed, first, counts, buffers):
+    """`draw_channel_batch` arguments for every slice of the blocks first,
+    first + 1, ... of counts[0], counts[1], ... trials, in draw order; the
+    slices take the buffers in turn."""
+    k = 0
+    for b, count in enumerate(counts, first):
+        gens = channel_generators(SeedSpec(master_seed, b))
+        for size in trial_slices(cfg, count):
+            yield cfg, gens, size, buffers[k % 2]
+            k += 1
+
+
 def _chunk(payload):
     """(parts, failures) for the blocks first..stop-1 of a ``trials``-trial run.
 
     Each block is drawn and detected in the slices of
     `channel.trial_slices`, which continue the block's generators, so its
     working set stays bounded and its bytes do not depend on the slicing.
+    One helper thread draws the next slice while the kernels run on this
+    one, into the other of two variate buffers; the draws keep their order
+    and only the helper touches the generators.
     parts[scheme] has one entry per slice: the valid trials' SNRs at the
     scheme's stream, or at every stream when ``streams`` is None.
     Rank-failed trials are dropped from every scheme alike so the common
     draws stay aligned.
     """
     cfg, schemes, streams, master_seed, first, stop, trials = payload
+    counts = [min(TRIALS_PER_BLOCK, trials - b * TRIALS_PER_BLOCK)
+              for b in range(first, stop)]
+    # every block but the last is full, and a block's first slice is its longest
+    rows = max(trial_slices(cfg, counts[0])[0], trial_slices(cfg, counts[-1])[0])
+    buffers = [np.empty((rows, uniforms_per_trial(cfg))) for _ in range(2)]
+    draws = _slice_draws(cfg, master_seed, first, counts, buffers)
     parts = {s: [] for s in schemes}
     failures = 0
-    for b in range(first, stop):
-        gens = channel_generators(SeedSpec(master_seed, b))
-        block = min(TRIALS_PER_BLOCK, trials - b * TRIALS_PER_BLOCK)
-        for size in trial_slices(cfg, block):
-            batch = draw_channel_batch(cfg, gens, size)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pending = helper.submit(draw_channel_batch, *next(draws))
+        while pending is not None:
+            batch = pending.result()
+            ahead = next(draws, None)
+            if ahead is not None:
+                pending = helper.submit(draw_channel_batch, *ahead)
+            else:
+                pending = None
             gammas, ok = batch_gammas(batch, cfg, schemes, streams)
-            bad = size - int(ok.sum())
+            bad = ok.size - int(ok.sum())
             failures += bad
             for s in schemes:
                 parts[s].append(gammas[s][ok] if bad else gammas[s])
@@ -302,32 +333,45 @@ def run_sweep(
     workers = check_count(workers, "workers")
     streams = resolve_streams(cfg, schemes, stream)
 
-    # Closed forms first, so a failing law stops the run before the Monte
-    # Carlo work instead of after it.
-    laws = []
+    # Every point's thresholds, then the closed forms, so an overflowing
+    # threshold or a failing law stops the run before the Monte Carlo work
+    # instead of after it.
+    grid = []
     for value in sweep.values:
         cfg_point = _point_config(cfg, sweep.variable, value)
+        snr_db = value if sweep.variable == "snr_db" else 10.0 * math.log10(cfg.tx_snr)
         gamma_th = threshold_from_rate(cfg_point.rate)
-        ana = {
+        thresholds = {
+            s: threshold_at_unit_snr(s, cfg_point, cfg_point.tx_snr, gamma_th)
+            for s in schemes
+        }
+        overflowed = [s.value for s in schemes if not math.isfinite(thresholds[s])]
+        if overflowed:
+            raise ConfigurationError(
+                f"rate {cfg_point.rate} at {snr_db} dB overflows the outage "
+                f"threshold of {', '.join(overflowed)}"
+            )
+        grid.append((value, snr_db, cfg_point, gamma_th, thresholds))
+    laws = [
+        {
             s: analytic_outage(
                 s, cfg_point, streams[s], gamma_th,
                 scale_mode=scale_mode, joint_method=joint_method,
             )
             for s in schemes
         }
-        laws.append((value, cfg_point, gamma_th, ana))
+        for _, _, cfg_point, gamma_th, _ in grid
+    ]
 
     base = _unit_config(cfg)
     samples, _ = snr_samples(base, schemes, trials, seed, streams, workers)
     valid = next(iter(samples.values())).size
 
     points = []
-    for value, cfg_point, gamma_th, ana in laws:
-        snr_db = value if sweep.variable == "snr_db" else 10.0 * math.log10(cfg.tx_snr)
+    for (value, snr_db, cfg_point, gamma_th, thresholds), ana in zip(grid, laws):
         emp = {}
         for s in schemes:
-            thr = threshold_at_unit_snr(s, cfg_point, cfg_point.tx_snr, gamma_th)
-            count = int(np.searchsorted(samples[s], thr, side="left"))
+            count = int(np.searchsorted(samples[s], thresholds[s], side="left"))
             emp[s] = _estimate_from_count(count, valid)
         points.append(
             CurvePoint(

@@ -78,6 +78,16 @@ def test_seed_spec_bit_limits():
         SeedSpec(-1)
 
 
+def test_seed_spec_refuses_what_it_would_truncate():
+    # a float key would address the stream or seed below it
+    for master_seed, stream_index in ((3, 1.7), (2.9, 0), (3, True), ("3", 0), (3, -1)):
+        with pytest.raises(ConfigurationError):
+            SeedSpec(master_seed, stream_index)
+    seed = SeedSpec(np.uint64(2**64 - 1), np.int64(5))
+    assert (type(seed.master_seed), type(seed.stream_index)) == (int, int)
+    assert seed == SeedSpec(2**64 - 1, 5)
+
+
 # --- determinism and substream layout -------------------------------------------
 
 def test_draws_are_deterministic_per_seed():

@@ -252,6 +252,25 @@ def test_overflowing_rate_is_a_configuration_error(tmp_path, capsys, monkeypatch
         assert "Traceback" not in err, err
 
 
+def test_overflowing_threshold_names_the_rate_and_snr(tmp_path, capsys, monkeypatch):
+    # 2**1023 is a float, but the direct and cascade thresholds, 5 and 3
+    # times it at 0 dB, are not; refused before any law or sampling runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("a law or the sampling ran before the threshold check")
+
+    for name in ("outage_direct", "outage_ris", "outage_full_clt", "outage_joint"):
+        monkeypatch.setattr(analytic, name, no_work)
+    monkeypatch.setattr(montecarlo, "snr_samples", no_work)
+    out = tmp_path / "rate.csv"
+    argv = ["--n", "6", "--m", "2", "--l", "2", "--snr-db", "0", "--rate-fixed", "1023",
+            "--trials", "100", "--output", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert ("configuration error: rate 1023.0 at 0.0 dB overflows the outage "
+            "threshold of d, ris") in err, err
+
+
 def test_integer_flags_reject_non_integers(tmp_path, capsys):
     # the message states the rule the value broke, not the converter's name
     integer = "expected an integer, got"

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -410,3 +411,49 @@ def test_sampling_calls_the_traced_names_once_per_slice(monkeypatch):
         assert ok.size == count
         assert all(gams[s].shape == (count,) for s in ALL)
     assert all(v.size == trials - failures for v in samples.values())
+
+
+# --- the draw-ahead thread ----------------------------------------------------
+
+@pytest.mark.parametrize("failing", ("draw_channel_batch", "batch_gammas"))
+def test_a_failing_slice_reraises_and_leaves_no_thread(monkeypatch, failing):
+    # the helper thread draws the second slice while the kernels run on the
+    # first; a failure on either side reaches the caller, and the helper is
+    # joined before it does
+    _slice_budget(monkeypatch, 300)
+    original = getattr(montecarlo, failing)
+    calls = []
+
+    def fail_on_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError(f"{failing} failed")
+        return original(*args)
+
+    monkeypatch.setattr(montecarlo, failing, fail_on_second)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{failing} failed"):
+        snr_samples(SLICED, ALL, 2 * montecarlo.TRIALS_PER_BLOCK, SeedSpec(94, 0))
+    assert threading.active_count() == threads
+    assert len(calls) >= 2
+
+
+def test_a_drawn_slice_leaves_no_thread():
+    threads = threading.active_count()
+    snr_samples(SMALL, ALL, 3000, SeedSpec(95, 0))
+    run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), ALL, 3000, SeedSpec(95, 0))
+    assert threading.active_count() == threads
+
+
+def test_a_draw_into_a_reused_buffer_gives_the_bytes_of_a_fresh_draw():
+    seed = SeedSpec(96, 3)
+    fresh = channel_generators(seed)
+    out = np.full((40, uniforms_per_trial(SLICED)), np.nan)
+    gens = channel_generators(seed)
+    for count in (37, 5, 23):  # a larger draw first, so the buffer holds old values
+        want = draw_channel_batch(SLICED, fresh, count)
+        got = draw_channel_batch(SLICED, gens, count, out)
+        for name in ("direct", "ris_rx", "tx_ris", "phases"):
+            a, b = getattr(want, name), getattr(got, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (count, name)
+        assert np.shares_memory(got.direct, out) and np.shares_memory(got.phases, out)
