@@ -1,6 +1,6 @@
 """Closed-form and series outage probabilities per scheme.
 
-Each function returns P(gamma_i < gamma_th) for one stream under one CSI
+Each law returns P(gamma_i < gamma_th) for one stream under one CSI
 regime, matching the corresponding detector in `detectors`. DirectCsi and
 RisCsi expressions are exact, and so is the Joint law in the derived scale
 mode, which averages over the random cascade power. FullCsi, and the Joint
@@ -8,6 +8,15 @@ law in the paper scale mode, rest on the Gaussian stand-in for the cascade,
 whose per-stream variance psi2 depends on the selected scale mode (see
 `channel.clt_psi2`), so their accuracy improves with the number of surface
 elements.
+
+A law takes a threshold and the config's transmit SNR, or 1-D grids of
+tx_snr and gamma_th that broadcast against each other, and returns a
+float or an array to match: a scalar call is a one-point grid. What does
+not depend on the point (shapes, psi2, the interference power, the
+quadrature rule, the incomplete-beta table of the joint series) is formed
+once per call, and the rest is elementwise arithmetic and one scalar
+`specfun` call per point, so each point of a grid gets the bits of a
+one-point call.
 """
 
 import numpy as np
@@ -15,7 +24,7 @@ from scipy.special import betainc, gammainc
 
 from .channel import DEFAULT_SCALE_MODE, SCALE_PAPER, check_stream, clt_psi2
 from .detectors import Scheme, check_cascade_rank, interference_power
-from .errors import ConfigurationError, check_nonnegative
+from .errors import ConfigurationError, check_nonnegative, check_positive
 from .specfun import (
     adaptive_quad,  # unused here; bench/tracing.py wraps analytic.adaptive_quad
     gamma_expectation_rule,
@@ -31,18 +40,61 @@ JOINT_METHODS = (JOINT_PRINTED, JOINT_QUADRATURE)
 DEFAULT_JOINT_METHOD = JOINT_QUADRATURE
 
 
-def outage_direct(cfg, i, gamma_th):
+def _grid(cfg, gamma_th, tx_snr):
+    """(p, g, scalar): the transmit SNRs (cfg.tx_snr when tx_snr is None)
+    and the thresholds as 1-D float arrays of one length, and whether both
+    were scalars."""
+    p = check_positive(cfg.tx_snr if tx_snr is None else tx_snr, "tx_snr")
+    g = check_nonnegative(gamma_th, "gamma_th")
+    scalar = np.ndim(p) == 0 and np.ndim(g) == 0
+    p, g = np.broadcast_arrays(np.atleast_1d(p), np.atleast_1d(g))
+    if p.ndim != 1:
+        raise ConfigurationError("tx_snr and gamma_th must be scalars or 1-D grids")
+    return p, g, scalar
+
+
+def _shaped(values, scalar):
+    """A law's values over its grid, or the one value of a scalar call."""
+    values = np.asarray(values, dtype=np.float64)
+    return float(values[0]) if scalar else values
+
+
+def _argument(scheme, cfg, i, p, g, mode):
+    """See `law_argument`; p and g are the arrays of `_grid`."""
+    with np.errstate(over="ignore", divide="ignore"):
+        if scheme is Scheme.DirectCsi:
+            noise = interference_power(cfg, scheme, p) + 1.0
+            return g * noise / (p * cfg.gain_direct[i])
+        if scheme is Scheme.RisCsi:
+            return _ris_kappa(cfg, i, p) * g
+        psi2 = clt_psi2(cfg, mode)[i]
+        if scheme is Scheme.FullCsi:
+            return g / (p * (cfg.gain_direct[i] + psi2))
+        return g / (p * psi2)
+
+
+def law_argument(scheme, cfg, i, gamma_th, tx_snr=None, mode=DEFAULT_SCALE_MODE):
+    """The grid a scheme's law is a function of, as a 1-D array: the
+    gamma-law argument of DirectCsi, RisCsi and FullCsi, and
+    x = gamma_th / (p psi2_i) of Joint. An overflow gives inf, without a
+    warning; `montecarlo.run_sweep` refuses such a point before any law
+    runs."""
+    i = check_stream(cfg, i)
+    p, g, _ = _grid(cfg, gamma_th, tx_snr)
+    return _argument(Scheme(scheme), cfg, i, p, g, mode)
+
+
+def outage_direct(cfg, i, gamma_th, tx_snr=None):
     """Direct-CSI outage: P(n, gamma_th (p L xi2_H S_G + 1)/(p xi2_D,i)).
 
     n = N - M + 1 and S_G = sum_k xi2_G,k; exact for Rayleigh links because
     1/(xi2_D,i [(H_d^H H_d)^{-1}]_{ii}) is Gamma(n) distributed.
     """
     i = check_stream(cfg, i)
-    g = check_nonnegative(gamma_th, "gamma_th")
-    p = cfg.tx_snr
-    noise = interference_power(cfg, Scheme.DirectCsi, p) + 1.0
+    p, g, scalar = _grid(cfg, gamma_th, tx_snr)
     shape = cfg.rx_antennas - cfg.streams + 1
-    return regularized_lower_gamma(shape, g * noise / (p * cfg.gain_direct[i]))
+    x = _argument(Scheme.DirectCsi, cfg, i, p, g, None)
+    return _shaped([regularized_lower_gamma(shape, a) for a in x.tolist()], scalar)
 
 
 def outage_direct_limit(cfg, i, gamma_th):
@@ -54,15 +106,15 @@ def outage_direct_limit(cfg, i, gamma_th):
     return regularized_lower_gamma(shape, g * scale / cfg.gain_direct[i])
 
 
-def _ris_kappa(cfg, i, limit=False):
+def _ris_kappa(cfg, i, p=None):
+    """RisCsi's threshold scale at transmit SNR p; None is the p -> inf limit."""
     denom = cfg.gain_ris_rx * cfg.gain_tx_ris[i]
-    if limit:
+    if p is None:
         return interference_power(cfg, Scheme.RisCsi) / denom
-    p = cfg.tx_snr
     return (interference_power(cfg, Scheme.RisCsi, p) + 1.0) / (p * denom)
 
 
-def outage_ris(cfg, i, gamma_th):
+def outage_ris(cfg, i, gamma_th, tx_snr=None):
     """Cascade-CSI outage via the product-of-gammas law.
 
     Given G, the rows of H Phi G are i.i.d. CN(0, xi2_H G^H G) (Phi is
@@ -74,10 +126,11 @@ def outage_ris(cfg, i, gamma_th):
     """
     i = check_stream(cfg, i)
     check_cascade_rank(cfg)
-    g = check_nonnegative(gamma_th, "gamma_th")
+    p, g, scalar = _grid(cfg, gamma_th, tx_snr)
     n1 = cfg.rx_antennas - cfg.streams + 1
     n2 = cfg.ris_elements - cfg.streams + 1
-    return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i) * g)
+    z = _argument(Scheme.RisCsi, cfg, i, p, g, None)
+    return _shaped([product_gamma_cdf(n1, n2, a) for a in z.tolist()], scalar)
 
 
 def outage_ris_limit(cfg, i, gamma_th):
@@ -87,10 +140,10 @@ def outage_ris_limit(cfg, i, gamma_th):
     g = check_nonnegative(gamma_th, "gamma_th")
     n1 = cfg.rx_antennas - cfg.streams + 1
     n2 = cfg.ris_elements - cfg.streams + 1
-    return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i, limit=True) * g)
+    return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i) * g)
 
 
-def outage_full_clt(cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):
+def outage_full_clt(cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE, tx_snr=None):
     """Full-CSI outage with the cascade replaced by its Gaussian stand-in.
 
     Composite column i then has per-entry variance xi2_D,i + psi2_i, and ZF
@@ -98,12 +151,10 @@ def outage_full_clt(cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):
     the argument vanishes as p grows.
     """
     i = check_stream(cfg, i)
-    g = check_nonnegative(gamma_th, "gamma_th")
-    psi2 = clt_psi2(cfg, mode)[i]
+    p, g, scalar = _grid(cfg, gamma_th, tx_snr)
     shape = cfg.rx_antennas - cfg.streams + 1
-    return regularized_lower_gamma(
-        shape, g / (cfg.tx_snr * (cfg.gain_direct[i] + psi2))
-    )
+    x = _argument(Scheme.FullCsi, cfg, i, p, g, mode)
+    return _shaped([regularized_lower_gamma(shape, a) for a in x.tolist()], scalar)
 
 
 def outage_joint(
@@ -112,6 +163,7 @@ def outage_joint(
     gamma_th,
     mode=DEFAULT_SCALE_MODE,
     method=DEFAULT_JOINT_METHOD,
+    tx_snr=None,
 ):
     """Unconditional joint-detection outage for stream i.
 
@@ -135,7 +187,7 @@ def outage_joint(
     mode="paper".
     """
     i = check_stream(cfg, i)
-    g = check_nonnegative(gamma_th, "gamma_th")
+    p, g, scalar = _grid(cfg, gamma_th, tx_snr)
     if method not in JOINT_METHODS:
         raise ConfigurationError(
             f"joint method must be one of {JOINT_METHODS}, got {method!r}"
@@ -148,18 +200,20 @@ def outage_joint(
         )
     if mode == SCALE_PAPER:
         if method == JOINT_QUADRATURE:
-            return marcum_complement_gamma_average(
-                cfg.rx_antennas - i, cfg.gain_direct[i] / psi2, g / (cfg.tx_snr * psi2)
-            )
-        return float(_joint_series(cfg, i, g, psi2))
+            n, w = cfg.rx_antennas - i, cfg.gain_direct[i] / psi2
+            x = _argument(Scheme.Joint, cfg, i, p, g, mode)
+            return _shaped([marcum_complement_gamma_average(n, w, a) for a in x.tolist()],
+                           scalar)
+        return _shaped(_joint_series(cfg, i, p, g, np.atleast_1d(psi2))[:, 0], scalar)
     # the derived psi2_i = xi2_H xi2_G,i L is the mean of xi2_H xi2_G,i V
     v, weights = gamma_expectation_rule(cfg.ris_elements)
-    law = _joint_series(cfg, i, g, psi2 * v / cfg.ris_elements)
-    return min(max(float(weights @ law), 0.0), 1.0)
+    law = _joint_series(cfg, i, p, g, psi2 * v / cfg.ris_elements)
+    return _shaped(np.clip([weights @ row for row in law], 0.0, 1.0), scalar)
 
 
-def _joint_series(cfg, i, gamma_th, psi2):
-    """Stream-i joint outage given the cascade variance psi2 (elementwise).
+def _joint_series(cfg, i, p, g, psi2):
+    """Stream-i joint outage given the cascade variance: one row per grid
+    point (p, g), one column per entry of the 1-D psi2.
 
     gamma_i = p |r + t|^2 with r^2 ~ xi2_D,i Gamma(n), n = N-i, and
     t ~ CN(0, psi2). With x = gamma_th/(p psi2), w = xi2_D,i/psi2,
@@ -170,15 +224,17 @@ def _joint_series(cfg, i, gamma_th, psi2):
         P = P(n, xv) + sum_{k=1}^{n-1} e^{-xv} (xv)^k / k! * I_v(n-k, k),
     with P the regularized lower gamma and I_v the regularized incomplete
     beta function. This form neither cancels in the high-SNR tail nor
-    overflows for large x, where z^l grows past the float range.
+    overflows for large x, where z^l grows past the float range. Where x
+    itself overflows, the terms would form 0 * inf; the limit there is 1.
     """
-    x = gamma_th / (cfg.tx_snr * psi2)
-    v = psi2 / (psi2 + cfg.gain_direct[i])
-    xv = x * v
-    n = cfg.rx_antennas - i
-    total = gammainc(n, xv)
-    pois = np.exp(-xv)
-    for k in range(1, n):
-        pois = pois * xv / k
-        total = total + pois * betainc(n - k, k, v)
-    return np.clip(total, 0.0, 1.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = g[:, np.newaxis] / (p[:, np.newaxis] * psi2)
+        v = psi2 / (psi2 + cfg.gain_direct[i])
+        xv = x * v
+        n = cfg.rx_antennas - i
+        total = gammainc(n, xv)
+        pois = np.exp(-xv)
+        for k in range(1, n):
+            pois = pois * xv / k
+            total = total + pois * betainc(n - k, k, v)
+    return np.clip(np.where(np.isinf(x), 1.0, total), 0.0, 1.0)

@@ -7,11 +7,14 @@ to a distinct exit code. The scalar input rules are written here once:
 `check_count` (a positive integer), `check_index` (an integer >= 0),
 `check_positive` (finite and > 0) and `check_nonnegative` (finite and
 >= 0); the stream-index rule is `channel.check_stream`. Each returns the
-checked value, never truncated.
+checked value, never truncated. The last two also check every entry of
+an array, such as the grid a closed-form law is evaluated over.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -46,8 +49,15 @@ def _check_integer(value, name, low, what):
     return int(value)
 
 
+# what check_positive and check_nonnegative check entry by entry
+_GRIDS = (np.ndarray, list, tuple)
+
+
 def check_positive(value, name):
-    """``value`` as a float if it is finite and > 0."""
+    """``value`` as a float if it is finite and > 0; an array as a float
+    array if every entry is."""
+    if isinstance(value, _GRIDS):
+        return _check_grid(value, name, np.greater, "> 0")
     v = float(value)
     if not (math.isfinite(v) and v > 0):
         raise ConfigurationError(f"{name} must be finite and > 0, got {v}")
@@ -55,8 +65,19 @@ def check_positive(value, name):
 
 
 def check_nonnegative(value, name):
-    """``value`` as a float if it is finite and >= 0."""
+    """``value`` as a float if it is finite and >= 0; an array as a float
+    array if every entry is."""
+    if isinstance(value, _GRIDS):
+        return _check_grid(value, name, np.greater_equal, ">= 0")
     v = float(value)
     if not (math.isfinite(v) and v >= 0):
         raise ConfigurationError(f"{name} must be finite and >= 0, got {v}")
+    return v
+
+
+def _check_grid(value, name, compare, bound):
+    v = np.array(value, dtype=np.float64)
+    bad = ~(np.isfinite(v) & compare(v, 0.0))
+    if bad.any():
+        raise ConfigurationError(f"{name} must be finite and {bound}, got {v[bad][0]}")
     return v

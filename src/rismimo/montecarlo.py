@@ -136,13 +136,13 @@ def threshold_at_unit_snr(scheme, cfg, tx_snr, gamma_th):
     """Outage threshold mapped to the unit-transmit-power sample scale.
 
     Counting unit-power SNR samples against this value reproduces, trial
-    for trial, the event {gamma_i(p) < gamma_th}.
+    for trial, the event {gamma_i(p) < gamma_th}. tx_snr and gamma_th may
+    be grids; a threshold that overflows is inf.
     """
     p = check_positive(tx_snr, "tx_snr")
-    if gamma_th == math.inf:
-        return math.inf
     c = interference_power(cfg, scheme)
-    return gamma_th * (p * c + 1.0) / (p * (c + 1.0))
+    with np.errstate(over="ignore"):
+        return gamma_th * (p * c + 1.0) / (p * (c + 1.0))
 
 
 def _chunk_ranges(n_blocks, workers):
@@ -278,17 +278,20 @@ def analytic_outage(
     gamma_th,
     scale_mode=DEFAULT_SCALE_MODE,
     joint_method=analytic.DEFAULT_JOINT_METHOD,
+    tx_snr=None,
 ):
-    """Closed-form outage for one scheme, dispatching on the scheme enum."""
+    """Closed-form outage for one scheme, dispatching on the scheme enum;
+    over a grid when gamma_th or tx_snr is one."""
     scheme = Scheme(scheme)
     if scheme is Scheme.DirectCsi:
-        return analytic.outage_direct(cfg, stream, gamma_th)
+        return analytic.outage_direct(cfg, stream, gamma_th, tx_snr=tx_snr)
     if scheme is Scheme.RisCsi:
-        return analytic.outage_ris(cfg, stream, gamma_th)
+        return analytic.outage_ris(cfg, stream, gamma_th, tx_snr=tx_snr)
     if scheme is Scheme.FullCsi:
-        return analytic.outage_full_clt(cfg, stream, gamma_th, mode=scale_mode)
+        return analytic.outage_full_clt(cfg, stream, gamma_th, mode=scale_mode,
+                                        tx_snr=tx_snr)
     return analytic.outage_joint(
-        cfg, stream, gamma_th, mode=scale_mode, method=joint_method
+        cfg, stream, gamma_th, mode=scale_mode, method=joint_method, tx_snr=tx_snr
     )
 
 
@@ -300,10 +303,16 @@ def db_to_power(db):
         raise ConfigurationError(f"{db} dB overflows a float power") from None
 
 
-def _point_config(cfg, sweep_variable, value):
-    if sweep_variable == "snr_db":
-        return dataclasses.replace(cfg, tx_snr=db_to_power(value))
-    return dataclasses.replace(cfg, rate=value)
+def _refuse_overflow(grids, rate, snr_db, what):
+    """ConfigurationError at the first grid point where a scheme's entry of
+    ``grids`` ({scheme: array}) is not finite, naming every such scheme."""
+    finite = np.logical_and.reduce([np.isfinite(v) for v in grids.values()])
+    if not finite.all():
+        j = int(np.argmin(finite))
+        names = ", ".join(s.value for s, v in grids.items() if not np.isfinite(v[j]))
+        raise ConfigurationError(
+            f"rate {rate[j]} at {snr_db[j]} dB overflows {what} of {names}"
+        )
 
 
 def run_sweep(
@@ -323,8 +332,9 @@ def run_sweep(
     One unit-power sample collection serves every grid point (the draws
     are common across points and schemes), so the empirical curve is
     smooth in the sweep variable and the cost does not scale with grid
-    size.  The cascade-CSI law holds for every N >= M and L >= M, the
-    range its detector accepts, so every analytic value is a number.
+    size.  Each scheme's law runs once, over the whole grid.  The
+    cascade-CSI law holds for every N >= M and L >= M, the range its
+    detector accepts, so every analytic value is a number.
     """
     if not isinstance(sweep, SweepSpec):
         raise ConfigurationError("sweep must be a SweepSpec")
@@ -333,54 +343,45 @@ def run_sweep(
     workers = check_count(workers, "workers")
     streams = resolve_streams(cfg, schemes, stream)
 
-    # Every point's thresholds, then the closed forms, so an overflowing
-    # threshold or a failing law stops the run before the Monte Carlo work
-    # instead of after it.
-    grid = []
-    for value in sweep.values:
-        cfg_point = _point_config(cfg, sweep.variable, value)
-        snr_db = value if sweep.variable == "snr_db" else 10.0 * math.log10(cfg.tx_snr)
-        gamma_th = threshold_from_rate(cfg_point.rate)
-        thresholds = {
-            s: threshold_at_unit_snr(s, cfg_point, cfg_point.tx_snr, gamma_th)
-            for s in schemes
-        }
-        overflowed = [s.value for s in schemes if not math.isfinite(thresholds[s])]
-        if overflowed:
-            raise ConfigurationError(
-                f"rate {cfg_point.rate} at {snr_db} dB overflows the outage "
-                f"threshold of {', '.join(overflowed)}"
-            )
-        grid.append((value, snr_db, cfg_point, gamma_th, thresholds))
-    laws = [
-        {
-            s: analytic_outage(
-                s, cfg_point, streams[s], gamma_th,
-                scale_mode=scale_mode, joint_method=joint_method,
-            )
-            for s in schemes
-        }
-        for _, _, cfg_point, gamma_th, _ in grid
-    ]
+    points = len(sweep.values)
+    if sweep.variable == "snr_db":
+        snr_db = list(sweep.values)
+        tx_snr = [db_to_power(v) for v in snr_db]
+        rate = [cfg.rate] * points
+    else:
+        snr_db = [10.0 * math.log10(cfg.tx_snr)] * points
+        tx_snr = [cfg.tx_snr] * points
+        rate = list(sweep.values)
+    gamma_th = [threshold_from_rate(r) for r in rate]
+    p, g = np.array(tx_snr, dtype=np.float64), np.array(gamma_th)
+
+    # Every threshold and law argument, then the laws, so an overflow or a
+    # failing law stops the run before the Monte Carlo work instead of
+    # after it.
+    thresholds = {s: threshold_at_unit_snr(s, cfg, p, g) for s in schemes}
+    _refuse_overflow(thresholds, rate, snr_db, "the outage threshold")
+    arguments = {s: analytic.law_argument(s, cfg, streams[s], g, tx_snr=p, mode=scale_mode)
+                 for s in schemes}
+    _refuse_overflow(arguments, rate, snr_db, "the law argument")
+    laws = {
+        s: analytic_outage(s, cfg, streams[s], g, scale_mode=scale_mode,
+                           joint_method=joint_method, tx_snr=p).tolist()
+        for s in schemes
+    }
 
     base = _unit_config(cfg)
     samples, _ = snr_samples(base, schemes, trials, seed, streams, workers)
     valid = next(iter(samples.values())).size
-
-    points = []
-    for (value, snr_db, cfg_point, gamma_th, thresholds), ana in zip(grid, laws):
-        emp = {}
-        for s in schemes:
-            count = int(np.searchsorted(samples[s], thresholds[s], side="left"))
-            emp[s] = _estimate_from_count(count, valid)
-        points.append(
-            CurvePoint(
-                sweep_value=float(value),
-                snr_db=snr_db,
-                rate=cfg_point.rate,
-                gamma_th=gamma_th,
-                analytic=ana,
-                empirical=emp,
-            )
+    counts = {s: np.searchsorted(samples[s], thresholds[s], side="left").tolist()
+              for s in schemes}
+    return tuple(
+        CurvePoint(
+            sweep_value=float(value),
+            snr_db=snr_db[j],
+            rate=rate[j],
+            gamma_th=gamma_th[j],
+            analytic={s: laws[s][j] for s in schemes},
+            empirical={s: _estimate_from_count(counts[s][j], valid) for s in schemes},
         )
-    return tuple(points)
+        for j, value in enumerate(sweep.values)
+    )

@@ -167,13 +167,23 @@ def marcum_complement_gamma_average(n, w, x):
     beyond it is at most P(G > g*) plus that Poisson tail. (A grid 14
     negative-binomial standard deviations past the mean leaves 3e-8 of
     the weight out at n = 1, w = 25.) A grid longer than _MAX_SERIES_TERMS
-    raises NumericError before anything is allocated.
+    raises NumericError before anything is allocated. The weights depend
+    on (n, w) only, so a curve over x builds them once.
     """
     n = check_count(n, "gamma shape")
     w = check_positive(w, "weight ratio")
     x = check_nonnegative(x, "argument")
     if x == 0.0:
         return 0.0
+    orders, weights = _negative_binomial_weights(n, w)
+    return min(float(weights @ gammainc(orders, x)), 1.0)
+
+
+# a curve needs one (n, w); each entry may hold two 8 MB arrays
+@functools.lru_cache(maxsize=4)
+def _negative_binomial_weights(n, w):
+    """(k + 1, NB(k; n, w/(1+w))) over the k-grid of
+    `marcum_complement_gamma_average`, as shared read-only arrays."""
     rate = w * float(gammainccinv(n, 1e-16))
     kmax = rate + 14.0 * math.sqrt(rate) + 60.0
     if not kmax < _MAX_SERIES_TERMS:
@@ -184,7 +194,10 @@ def marcum_complement_gamma_average(n, w, x):
     k = np.arange(int(kmax) + 1, dtype=np.float64)
     log_nb = (gammaln(n + k) - gammaln(k + 1.0) - math.lgamma(n)
               - n * math.log1p(w) - k * math.log1p(1.0 / w))
-    return min(float(np.exp(log_nb) @ gammainc(k + 1.0, x)), 1.0)
+    orders, weights = k + 1.0, np.exp(log_nb)
+    orders.flags.writeable = False
+    weights.flags.writeable = False
+    return orders, weights
 
 
 def _kummer_poly(a, x):

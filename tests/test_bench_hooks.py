@@ -6,6 +6,7 @@ name or reorders those arguments fails here, not only under
 ``bench/run.py --trace 1``.
 """
 
+import collections
 import importlib.util
 from pathlib import Path
 
@@ -39,8 +40,12 @@ def test_tracer_hooks_fire_on_a_cli_sweep(tmp_path):
     assert status == cli.EXIT_OK
     names = {s["name"] for s in tracer.spans}
     assert {"montecarlo.run_sweep", "montecarlo.snr_samples", "channel.draw",
-            "detectors.batch_gammas", "cli.write", "analytic.d", "analytic.ris",
-            "analytic.full", "analytic.joint"} <= names, names
+            "detectors.batch_gammas", "cli.write"} <= names, names
+    # each law runs once per curve, over both grid points
+    laws = collections.Counter(s["name"] for s in tracer.spans
+                               if s["name"].startswith("analytic."))
+    assert laws == {"analytic.d": 1, "analytic.ris": 1, "analytic.full": 1,
+                    "analytic.joint": 1}, laws
     (sampling,) = [s for s in tracer.spans if s["name"] == "montecarlo.snr_samples"]
     assert sampling["attrs"]["trials"] == 1000
     assert sampling["attrs"]["workers"] == 2

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,44 @@ def test_overflowing_threshold_names_the_rate_and_snr(tmp_path, capsys, monkeypa
             "threshold of d, ris") in err, err
 
 
+def test_overflowing_law_argument_names_the_rate_and_snr(tmp_path, capsys, monkeypatch):
+    # the thresholds at rate 1000 are floats, but with 1e-10 link gains
+    # every law's argument is past the float range; refused before any law
+    # or sampling runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("a law or the sampling ran before the argument check")
+
+    for name in ("outage_direct", "outage_ris", "outage_full_clt", "outage_joint"):
+        monkeypatch.setattr(analytic, name, no_work)
+    monkeypatch.setattr(montecarlo, "snr_samples", no_work)
+    out = tmp_path / "rate.csv"
+    argv = ["--n", "6", "--m", "2", "--l", "2", "--snr-db", "0", "--rate-fixed", "1000",
+            "--gain-d", "1e-10", "--gain-g", "1e-10", "--trials", "100",
+            "--output", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert ("configuration error: rate 1000.0 at 0.0 dB overflows the law "
+            "argument of d, ris, full, joint") in err, err
+
+
+def test_joint_law_is_one_where_its_series_argument_overflows(tmp_path):
+    # at rate 1023 the derived joint law's lower quadrature nodes put
+    # x = gamma_th / (p psi2) past the float range, where the series' limit
+    # is 1; every cell is 1, and nothing warns
+    out = tmp_path / "joint.csv"
+    argv = ["--n", "6", "--m", "2", "--l", "2", "--snr-db", "0", "--rate-fixed", "1023",
+            "--schemes", "full,joint", "--trials", "100", "--output", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == EXIT_OK
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    rows = [dict(zip(CSV_COLUMNS, ln.split(","))) for ln in lines[1:]]
+    assert [r["scheme"] for r in rows] == ["full", "joint"]
+    for r in rows:
+        assert (r["analytic_outage"], r["mc_outage"], r["mc_stderr"]) == ("1", "1", "0"), r
+
+
 def test_integer_flags_reject_non_integers(tmp_path, capsys):
     # the message states the rule the value broke, not the converter's name
     integer = "expected an integer, got"
@@ -463,7 +502,8 @@ def test_rate_sweep_via_flags(tmp_path):
 
 def test_json_out_of_range_law_is_null(tmp_path, monkeypatch):
     # a law with no value writes null, since JSON has no NaN token
-    monkeypatch.setattr(analytic, "outage_ris", lambda cfg, i, gamma_th: math.nan)
+    monkeypatch.setattr(analytic, "outage_ris", lambda cfg, i, gamma_th, tx_snr=None:
+                        np.full(np.shape(gamma_th), math.nan))
     out = tmp_path / "ris.json"
     status = main([
         "--n", "8", "--m", "4", "--l", "16", "--snr-db", "0",

@@ -6,8 +6,10 @@ format does; the three plain runs' LAWS were taken before the channel draw
 moved to ziggurat normals and held across that change. The fig1-preset
 and rate-sweep digests were taken before the flags, presets and config
 keys moved to one table and held across that change. All five LAWS held
-when the draws moved from keyed Philox to SFC64 substreams. SHA256 covers
-the whole file.
+when the draws moved from keyed Philox to SFC64 substreams. The two
+paper-scale fig1 runs, one per joint method, were taken before the laws
+moved to one evaluation per curve and held across that change. SHA256
+covers the whole file.
 
 The digests were taken with numpy 2.4.6 and its bundled LAPACK. The
 ziggurat normals are numpy's `Generator.standard_normal`, which another
@@ -38,6 +40,10 @@ RUNS = {
                              "--format", "json"),
     "golden_fig1.csv": ("--preset", "fig1"),
     "golden_rate_32_14_16.csv": FIG2_FLAGS,
+    "golden_fig1_paper_quadrature.csv": ("--preset", "fig1", "--scale-mode", "paper",
+                                         "--joint-method", "quadrature"),
+    "golden_fig1_paper_printed.csv": ("--preset", "fig1", "--scale-mode", "paper",
+                                      "--joint-method", "printed"),
 }
 
 MONTE_CARLO_COLUMNS = ("mc_outage", "mc_stderr", "trials")
@@ -53,6 +59,10 @@ LAWS = {
         "d3e23705a52a2a22049818e58c6af8596d9af6f5ceae89faae25f04d00341a50",
     "golden_rate_32_14_16.csv":
         "8eca700c45805f38aea4277b80d7af6885910edc0fef316401c22a6ecfcef386",
+    "golden_fig1_paper_quadrature.csv":
+        "d67494e44b2c0cd9c142982164dcaff56877a4bac17efdcba6f9da720eaf3874",
+    "golden_fig1_paper_printed.csv":
+        "78255befa630ae543ed916fc1defbd59d8275ed9415222f176c68204bb8bc0b4",
 }
 
 SHA256 = {
@@ -66,6 +76,10 @@ SHA256 = {
         "fa7ed1b2fea5269df4d915928a3d61e688942e79b905e532ac18a3a13775c63d",
     "golden_rate_32_14_16.csv":
         "4eda811d77cae4b1eddbf284f19fe88ffe14cc498f0e8ea5b05fb87d7ed5ea4d",
+    "golden_fig1_paper_quadrature.csv":
+        "fc8721b185aeb7b7400b03dbe839a59a717f52a8efbe1a171ea9e89335c33e0d",
+    "golden_fig1_paper_printed.csv":
+        "a08b18d3d7bb72bad7e865ebccbcfc53b7b0fb33558c038aa990d9d59a9bda50",
 }
 
 

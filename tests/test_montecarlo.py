@@ -302,13 +302,40 @@ def test_sweep_ris_law_matches_monte_carlo_when_elements_exceed_antennas():
             assert abs(est.probability - want) <= 4.0 * est.stderr, (dims, point.snr_db)
 
 
+def test_sweep_columns_equal_per_point_law_calls():
+    # each law runs once over the whole grid, and every point of its column
+    # keeps the bits of a one-point call at that point's config
+    schemes = tuple(Scheme)
+    unequal = SystemConfig(6, 2, 2, rate=2.0, gain_direct=[0.3, 2.0])
+    sweeps = (SweepSpec("snr_db", tuple(np.arange(-10.0, 10.5, 0.5))),
+              SweepSpec("rate", tuple(np.arange(0.25, 8.25, 0.25))))
+    for cfg in (SystemConfig(4, 2, 2, rate=2.0), SystemConfig(8, 4, 8, rate=2.0), unequal):
+        for sweep in sweeps:
+            for mode, method in (("derived", "quadrature"), ("paper", "quadrature"),
+                                 ("paper", "printed")):
+                points = run_sweep(cfg, sweep, schemes, 1024, SeedSpec(97, 0),
+                                   scale_mode=mode, joint_method=method)
+                streams = resolve_streams(cfg, schemes)
+                for s in schemes:
+                    want = []
+                    for value, point in zip(sweep.values, points):
+                        at = cfg
+                        if sweep.variable == "snr_db":
+                            at = dataclasses.replace(cfg, tx_snr=10.0 ** (value / 10.0))
+                        want.append(montecarlo.analytic_outage(
+                            s, at, streams[s], point.gamma_th,
+                            scale_mode=mode, joint_method=method))
+                    got = [point.analytic[s] for point in points]
+                    assert np.array_equal(got, want), (cfg, sweep.variable, mode, method, s)
+
+
 def test_sweep_law_failure_stops_before_sampling(monkeypatch):
     # the law fails only at the last grid point, so every analytic value
     # has to be in hand before the first Monte Carlo block is drawn
-    def failing_law(cfg, i, gamma_th):
-        if cfg.tx_snr > 5.0:
+    def failing_law(cfg, i, gamma_th, tx_snr=None):
+        if np.max(tx_snr) > 5.0:
             raise NumericError("law did not converge")
-        return outage_ris(cfg, i, gamma_th)
+        return outage_ris(cfg, i, gamma_th, tx_snr=tx_snr)
 
     sampled = []
 
