@@ -228,9 +228,29 @@ def draw_channel_batch(cfg, seed, count, out=None):
 
 
 def cascade_batch(batch):
-    """Batched cascade H diag(e^{j phi}) G, (count, N, M); the phases
-    rotate the rows of G, never larger than H since N >= M."""
-    return batch.ris_rx @ (np.exp(1j * batch.phases)[:, :, np.newaxis] * batch.tx_ris)
+    """Batched cascade H diag(e^{j phi}) G, (count, N, M).
+
+    One float64 matmul on interleaved (re, im) views, with no copy of H:
+    a stacked complex128 matmul spends its time in per-matrix call
+    overhead at the paper's small arrays. The phases rotate the rows of
+    G, never larger than H since N >= M, into W = diag(e^{j phi}) G.
+    W and jW are written into one (count, L, 2, M) stack, whose float64
+    view reshaped to (count, 2L, 2M) is the real form R of W: row 2l is
+    (re w_l0, im w_l0, re w_l1, ...) and row 2l+1 is the same for j w_l,
+    (-im w_l0, re w_l0, ...). A row of H's float64 view is
+    (re h_0, im h_0, re h_1, ...), so its product with column 2k of R is
+    sum_l re h_l re w_lk - im h_l im w_lk = re (HW)_k, and with column
+    2k+1 it is im (HW)_k: H_f @ R, viewed as complex, is HW.
+    """
+    h, g = batch.ris_rx, batch.tx_ris
+    if h.strides[-1] != h.itemsize:
+        h = np.ascontiguousarray(h)
+    count, l, m = g.shape
+    w = np.empty((count, l, 2, m), dtype=np.complex128)
+    np.multiply(np.exp(1j * batch.phases)[:, :, np.newaxis], g, out=w[:, :, 0])
+    np.multiply(w[:, :, 0], 1j, out=w[:, :, 1])
+    r = w.view(np.float64).reshape(count, 2 * l, 2 * m)
+    return (h.view(np.float64) @ r).view(np.complex128)
 
 
 def clt_psi2(cfg, mode):

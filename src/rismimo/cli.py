@@ -55,6 +55,9 @@ _FLOAT_COLUMNS = frozenset(
     ("sweep_value", "snr_db", "rate_bps_hz", "gamma_th",
      "analytic_outage", "mc_outage", "mc_stderr")
 )
+# One CSV row: a float column as float(v) to 17 significant digits, which
+# round-trips, and any other column as str(v).
+_CSV_ROW = ",".join("%.17g" if c in _FLOAT_COLUMNS else "%s" for c in CSV_COLUMNS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,12 +227,6 @@ def pilot_overhead_counts(n, m, l):
     return n * l * m + n * m, n * m
 
 
-def _fmt(value, column):
-    if column in _FLOAT_COLUMNS:
-        return format(float(value), ".17g")
-    return str(value)
-
-
 def curve_rows(manifest, points):
     """Flatten a sweep's points into one dict per (point, scheme), in the
     manifest's canonical scheme order so files are deterministic."""
@@ -292,7 +289,7 @@ def write_csv(path, manifest, rows):
     lines = [f"# {k} = {v}" for k, v in manifest_items(manifest)]
     lines.append(",".join(CSV_COLUMNS))
     for row in rows:
-        lines.append(",".join(_fmt(row[c], c) for c in CSV_COLUMNS))
+        lines.append(_CSV_ROW % tuple(row[c] for c in CSV_COLUMNS))
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

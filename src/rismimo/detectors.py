@@ -18,11 +18,11 @@ part of the channel the receiver is assumed to know. With g_i(A) =
 
 The kernels never factor A. Each block forms three trials-last Gram stacks,
 G_d = H_d^H H_d, G_b = B^H B and X = H_d^H B, and one Gaussian elimination
-serves all four schemes. The Gram products are float64 matmuls on the
-interleaved (re, im) views of the complex stacks (see `_gram`): at the
-paper's small arrays a stacked complex128 matmul costs about five times as
-much per matrix in call overhead. The cascade B itself stays a complex128
-matmul (`channel.cascade_batch`), where the float64 form measured slower.
+serves all four schemes. The Gram products, like the cascade B itself
+(`channel.cascade_batch`), are float64 matmuls on the interleaved (re, im)
+views of the complex stacks (see `_gram`): at the paper's small arrays a
+stacked complex128 matmul costs about five times as much per matrix in
+call overhead.
 Only the upper triangle is eliminated, since nothing reads the lower one
 again. The elimination's pivots are the |r_kk|^2 of the QR factor with
 the same column order. With column i put last, the last pivot of G_d, G_b

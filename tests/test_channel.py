@@ -259,11 +259,18 @@ def test_real_and_imag_parts_gaussian():
 # --- composite channel -------------------------------------------------------------
 
 def test_composite_matches_hand_assembly():
-    batch = draw_channel_batch(CFG, SeedSpec(50, 0), 3)
-    for t in range(3):
-        casc = batch.ris_rx[t] @ np.diag(np.exp(1j * batch.phases[t])) @ batch.tx_ris[t]
-        assert np.allclose(cascade_batch(batch)[t], casc, atol=1e-14)
-        assert np.allclose(composite_batch(batch)[t], batch.direct[t] + casc, atol=1e-14)
+    # CFG and the shapes of the detectors' per-trial oracle: L = M, L > N
+    # and L < M
+    for dims in ((4, 2, 3), (5, 3, 4), (4, 2, 2), (3, 2, 6), (4, 2, 1)):
+        batch = draw_channel_batch(SystemConfig(*dims), SeedSpec(50, 0), 3)
+        cascade, composite = cascade_batch(batch), composite_batch(batch)
+        assert cascade.shape == batch.direct.shape, dims
+        for t in range(3):
+            casc = (batch.ris_rx[t] @ np.diag(np.exp(1j * batch.phases[t]))
+                    @ batch.tx_ris[t])
+            np.testing.assert_allclose(cascade[t], casc, rtol=1e-12, err_msg=str(dims))
+            np.testing.assert_allclose(composite[t], batch.direct[t] + casc,
+                                       rtol=1e-12, err_msg=str(dims))
 
 
 def test_composite_entry_variance():

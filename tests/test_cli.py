@@ -194,6 +194,31 @@ def test_csv_and_json_agree_to_17_digits(tmp_path):
             assert named[col] == format(float(json_row[col]), ".17g")
 
 
+def test_csv_cells_are_float_17g_and_str(tmp_path):
+    # each float column reads format(float(v), ".17g") and every other one
+    # str(v), for the special values and random bit patterns alike
+    manifest = cli_manifest("--n", "4", "--m", "2", "--l", "2")
+    special = [-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3, 3,
+               np.float64(2.5), np.float64(-0.0), np.float64(np.nan)]
+    bits = np.random.default_rng(3).integers(0, 2**64, 2000, dtype=np.uint64)
+    values = special + bits.view(np.float64).tolist()
+    floats = [c for c in CSV_COLUMNS if c in cli._FLOAT_COLUMNS]
+    others = {"scheme": "full", "sweep_variable": "snr_db", "stream_index": 1,
+              "trials": np.int64(1024), "seed": 2**64 - 1}
+    rows = [dict(others, **{c: values[(k + j) % len(values)]
+                            for j, c in enumerate(floats)})
+            for k in range(len(values))]
+    path = tmp_path / "cells.csv"
+    cli.write_csv(path, manifest, rows)
+    data = _data_lines(path)
+    assert data[0] == ",".join(CSV_COLUMNS)
+    want = [",".join(format(float(row[c]), ".17g") if c in floats else str(row[c])
+                     for c in CSV_COLUMNS) for row in rows]
+    assert data[1:-1] == want
+    assert data[-1] == ""
+
+
 def test_json_manifest_is_fully_resolved(tmp_path):
     _, json_path = _run_small(tmp_path, "m.json", ("--format", "json"))
     man = json.loads(json_path.read_text())["manifest"]

@@ -153,27 +153,44 @@ def _oracle_gammas(batch, cfg, t):
     noise_d = p * cfg.ris_elements * cfg.gain_ris_rx * cfg.gain_tx_ris.sum() + 1.0
     noise_ris = p * cfg.gain_direct.sum() + 1.0
     q, r = np.linalg.qr(hd)
-    return {
+    gammas = {
         Scheme.DirectCsi: p / (noise_d * gram_inv_diag(hd)),
-        Scheme.RisCsi: p / (noise_ris * gram_inv_diag(casc)),
         Scheme.FullCsi: p / gram_inv_diag(hd + casc),
         Scheme.Joint: p * np.abs(np.diagonal(r) + np.sum(q.conj() * casc, axis=0)) ** 2,
     }
+    if cfg.ris_elements >= cfg.streams:  # else B^H B is singular
+        gammas[Scheme.RisCsi] = p / (noise_ris * gram_inv_diag(casc))
+    return gammas
+
+
+ORACLE_CONFIGS = (
+    SystemConfig(5, 3, 4, tx_snr=3.0, gain_direct=(0.5, 1.0, 1.5),
+                 gain_tx_ris=0.7, gain_ris_rx=1.3),
+    SystemConfig(4, 2, 2),
+    SystemConfig(3, 2, 6),  # L > N
+    SystemConfig(4, 2, 1),  # L < M: no cascade-CSI detector
+)
+
+
+def _dims(cfg):
+    return "x".join(str(v) for v in (cfg.rx_antennas, cfg.streams, cfg.ris_elements))
 
 
 def test_batch_matches_single_trial_loop():
     # the vectorized kernels against a per-trial numpy oracle, trial for
-    # trial and stream for stream
-    cfg = SystemConfig(5, 3, 4, tx_snr=3.0, gain_direct=(0.5, 1.0, 1.5),
-                       gain_tx_ris=0.7, gain_ris_rx=1.3)
+    # trial and stream for stream; the oracle forms each trial's cascade
+    # itself, apart from channel.cascade_batch
     count = 50
-    batch = draw_channel_batch(cfg, SeedSpec(25, 0), count)
-    gam, ok = batch_gammas(batch, cfg, ALL)
-    assert ok.all()
-    for t in range(count):
-        for scheme, want in _oracle_gammas(batch, cfg, t).items():
-            np.testing.assert_allclose(gam[scheme][t], want, rtol=1e-12,
-                                       err_msg=f"{scheme} trial {t}")
+    for cfg in ORACLE_CONFIGS:
+        batch = draw_channel_batch(cfg, SeedSpec(25, 0), count)
+        schemes = ALL if cfg.ris_elements >= cfg.streams else tuple(
+            s for s in ALL if s is not Scheme.RisCsi)
+        gam, ok = batch_gammas(batch, cfg, schemes)
+        assert ok.all(), _dims(cfg)
+        for t in range(count):
+            for scheme, want in _oracle_gammas(batch, cfg, t).items():
+                np.testing.assert_allclose(gam[scheme][t], want, rtol=1e-12,
+                                           err_msg=f"{_dims(cfg)} {scheme} trial {t}")
 
 
 def test_batch_flags_rank_deficient_trials():
@@ -200,8 +217,7 @@ PARITY_CONFIGS = (
 )
 
 
-@pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=lambda c: "x".join(
-    str(v) for v in (c.rx_antennas, c.streams, c.ris_elements)))
+@pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=_dims)
 def test_single_stream_kernels_match_all_stream_columns(cfg):
     # the one-stream path must reproduce the all-stream columns for every
     # scheme; both run the same elimination, so this checks the stacking

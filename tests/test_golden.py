@@ -14,8 +14,9 @@ covers the whole file.
 The digests were taken with numpy 2.4.6 and its bundled LAPACK. The
 ziggurat normals are numpy's `Generator.standard_normal`, which another
 numpy version may draw differently, and another numpy build may round the
-Gram products of the detector kernels differently in the last bit, which
-can move an analytic or Monte Carlo value, so the test skips there.
+cascade product or the Gram products of the detector kernels differently in
+the last bit, which can move an analytic or Monte Carlo value, so the test
+skips there.
 """
 
 import hashlib
