@@ -9,8 +9,8 @@ whose per-stream variance psi2 depends on the selected scale mode (see
 `channel.clt_psi2`), so their accuracy improves with the number of surface
 elements.
 
-A law takes a threshold and the config's transmit SNR, or 1-D grids of
-tx_snr and gamma_th that broadcast against each other, and returns a
+A law takes a threshold and a transmit SNR, with no config fallback, as
+scalars or 1-D grids that broadcast against each other, and returns a
 float or an array to match: a scalar call is a one-point grid. What does
 not depend on the point (shapes, psi2, the interference power, the
 quadrature rule, the incomplete-beta table of the joint series) is formed
@@ -40,11 +40,10 @@ JOINT_METHODS = (JOINT_PRINTED, JOINT_QUADRATURE)
 DEFAULT_JOINT_METHOD = JOINT_QUADRATURE
 
 
-def _grid(cfg, gamma_th, tx_snr):
-    """(p, g, scalar): the transmit SNRs (cfg.tx_snr when tx_snr is None)
-    and the thresholds as 1-D float arrays of one length, and whether both
-    were scalars."""
-    p = check_positive(cfg.tx_snr if tx_snr is None else tx_snr, "tx_snr")
+def _grid(gamma_th, tx_snr):
+    """(p, g, scalar): the transmit SNRs and the thresholds as 1-D float
+    arrays of one length, and whether both were scalars."""
+    p = check_positive(tx_snr, "tx_snr")
     g = check_nonnegative(gamma_th, "gamma_th")
     scalar = np.ndim(p) == 0 and np.ndim(g) == 0
     p, g = np.broadcast_arrays(np.atleast_1d(p), np.atleast_1d(g))
@@ -73,25 +72,25 @@ def _argument(scheme, cfg, i, p, g, mode):
         return g / (p * psi2)
 
 
-def law_argument(scheme, cfg, i, gamma_th, tx_snr=None, mode=DEFAULT_SCALE_MODE):
+def law_argument(scheme, cfg, i, gamma_th, tx_snr, mode=DEFAULT_SCALE_MODE):
     """The grid a scheme's law is a function of, as a 1-D array: the
     gamma-law argument of DirectCsi, RisCsi and FullCsi, and
     x = gamma_th / (p psi2_i) of Joint. An overflow gives inf, without a
     warning; `montecarlo.run_sweep` refuses such a point before any law
     runs."""
     i = check_stream(cfg, i)
-    p, g, _ = _grid(cfg, gamma_th, tx_snr)
+    p, g, _ = _grid(gamma_th, tx_snr)
     return _argument(Scheme(scheme), cfg, i, p, g, mode)
 
 
-def outage_direct(cfg, i, gamma_th, tx_snr=None):
+def outage_direct(cfg, i, gamma_th, tx_snr):
     """Direct-CSI outage: P(n, gamma_th (p L xi2_H S_G + 1)/(p xi2_D,i)).
 
     n = N - M + 1 and S_G = sum_k xi2_G,k; exact for Rayleigh links because
     1/(xi2_D,i [(H_d^H H_d)^{-1}]_{ii}) is Gamma(n) distributed.
     """
     i = check_stream(cfg, i)
-    p, g, scalar = _grid(cfg, gamma_th, tx_snr)
+    p, g, scalar = _grid(gamma_th, tx_snr)
     shape = cfg.rx_antennas - cfg.streams + 1
     x = _argument(Scheme.DirectCsi, cfg, i, p, g, None)
     return _shaped([regularized_lower_gamma(shape, a) for a in x.tolist()], scalar)
@@ -114,7 +113,7 @@ def _ris_kappa(cfg, i, p=None):
     return (interference_power(cfg, Scheme.RisCsi, p) + 1.0) / (p * denom)
 
 
-def outage_ris(cfg, i, gamma_th, tx_snr=None):
+def outage_ris(cfg, i, gamma_th, tx_snr):
     """Cascade-CSI outage via the product-of-gammas law.
 
     Given G, the rows of H Phi G are i.i.d. CN(0, xi2_H G^H G) (Phi is
@@ -126,7 +125,7 @@ def outage_ris(cfg, i, gamma_th, tx_snr=None):
     """
     i = check_stream(cfg, i)
     check_cascade_rank(cfg)
-    p, g, scalar = _grid(cfg, gamma_th, tx_snr)
+    p, g, scalar = _grid(gamma_th, tx_snr)
     n1 = cfg.rx_antennas - cfg.streams + 1
     n2 = cfg.ris_elements - cfg.streams + 1
     z = _argument(Scheme.RisCsi, cfg, i, p, g, None)
@@ -143,7 +142,7 @@ def outage_ris_limit(cfg, i, gamma_th):
     return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i) * g)
 
 
-def outage_full_clt(cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE, tx_snr=None):
+def outage_full_clt(cfg, i, gamma_th, tx_snr, mode=DEFAULT_SCALE_MODE):
     """Full-CSI outage with the cascade replaced by its Gaussian stand-in.
 
     Composite column i then has per-entry variance xi2_D,i + psi2_i, and ZF
@@ -151,7 +150,7 @@ def outage_full_clt(cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE, tx_snr=None):
     the argument vanishes as p grows.
     """
     i = check_stream(cfg, i)
-    p, g, scalar = _grid(cfg, gamma_th, tx_snr)
+    p, g, scalar = _grid(gamma_th, tx_snr)
     shape = cfg.rx_antennas - cfg.streams + 1
     x = _argument(Scheme.FullCsi, cfg, i, p, g, mode)
     return _shaped([regularized_lower_gamma(shape, a) for a in x.tolist()], scalar)
@@ -161,9 +160,9 @@ def outage_joint(
     cfg,
     i,
     gamma_th,
+    tx_snr,
     mode=DEFAULT_SCALE_MODE,
     method=DEFAULT_JOINT_METHOD,
-    tx_snr=None,
 ):
     """Unconditional joint-detection outage for stream i.
 
@@ -187,7 +186,7 @@ def outage_joint(
     mode="paper".
     """
     i = check_stream(cfg, i)
-    p, g, scalar = _grid(cfg, gamma_th, tx_snr)
+    p, g, scalar = _grid(gamma_th, tx_snr)
     if method not in JOINT_METHODS:
         raise ConfigurationError(
             f"joint method must be one of {JOINT_METHODS}, got {method!r}"

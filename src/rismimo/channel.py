@@ -9,6 +9,8 @@ receiver sees
 with H_d (N x M) the direct links, H (N x L) the surface-to-receiver links,
 G (L x M) the transmitter-to-surface links, all i.i.d. circularly symmetric
 complex Gaussian with per-link variances, and phi uniform on [0, 2pi).
+`SystemConfig` is the system alone; a sweep or a law call supplies the
+operating point, the transmit SNR p and the target rate.
 
 Randomness is keyed: every (master_seed, stream_index) pair seeds one
 SFC64 generator per draw domain through NumPy's SeedSequence. The entries
@@ -64,20 +66,17 @@ def _gain_vector(value, m, name):
 
 @dataclass(frozen=True, eq=False)
 class SystemConfig:
-    """Static description of one simulated uplink.
+    """The system of one simulated uplink, without an operating point.
 
     gain_direct[i] is the variance of each direct-link coefficient of
     stream i, gain_tx_ris[i] the variance of stream i's links onto the
     surface, and gain_ris_rx the (common) variance of each surface-to-
-    receiver link. tx_snr is the linear transmit SNR p, rate the target
-    spectral efficiency in bit/s/Hz.
+    receiver link.
     """
 
     rx_antennas: int
     streams: int
     ris_elements: int
-    tx_snr: float = 1.0
-    rate: float = 3.0
     gain_direct: np.ndarray = field(default=1.0)  # type: ignore[assignment]
     gain_tx_ris: np.ndarray = field(default=1.0)  # type: ignore[assignment]
     gain_ris_rx: float = 1.0
@@ -89,8 +88,7 @@ class SystemConfig:
             raise ConfigurationError(
                 f"need rx_antennas >= streams, got {self.rx_antennas} < {self.streams}"
             )
-        for name in ("tx_snr", "rate", "gain_ris_rx"):
-            check_positive(getattr(self, name), name)
+        check_positive(self.gain_ris_rx, "gain_ris_rx")
         object.__setattr__(
             self, "gain_direct", _gain_vector(self.gain_direct, self.streams, "gain_direct")
         )

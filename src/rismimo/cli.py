@@ -26,7 +26,6 @@ from .analytic import DEFAULT_JOINT_METHOD, JOINT_METHODS
 from .montecarlo import (
     SweepSpec,
     canonical_schemes,
-    db_to_power,
     resolve_streams,
     run_sweep,
 )
@@ -276,12 +275,11 @@ def manifest_items(manifest):
         ("format", manifest.fmt),
         ("output", manifest.output),
     ]
-    if manifest.sweep.variable == "snr_db":
-        items.insert(5, ("rate_fixed_bps_hz", format(cfg.rate, ".17g")))
+    sweep = manifest.sweep
+    if sweep.variable == "snr_db":
+        items.insert(5, ("rate_fixed_bps_hz", format(sweep.fixed, ".17g")))
     else:
-        items.insert(
-            5, ("snr_db_fixed", format(10.0 * math.log10(cfg.tx_snr), ".17g"))
-        )
+        items.insert(5, ("snr_db_fixed", format(sweep.points()[0][0], ".17g")))
     return items
 
 
@@ -331,9 +329,12 @@ def run(manifest):
     """Execute a manifest: sweep, write the output file, print a summary.
 
     Returns a process exit status (0 ok, 2 configuration, 3 numerics,
-    4 file I/O); a missing or read-only output directory fails before the sweep."""
+    4 file I/O); a missing or read-only output directory, or an output
+    path that is a directory, fails before the sweep."""
     try:
         folder = os.path.dirname(os.path.abspath(manifest.output))
+        if os.path.isdir(manifest.output):
+            raise IsADirectoryError(f"output path is a directory: {manifest.output}")
         if not os.access(folder, os.W_OK):
             raise OSError(f"output directory missing or not writable: {folder}")
         points = run_sweep(
@@ -450,19 +451,14 @@ def build_manifest(ns, file_values):
     if "snr_db" in v and "rate" in v:
         raise ConfigurationError("sweep either --snr-db or --rate, not both")
     if "rate" in v:
-        sweep = SweepSpec("rate", v["rate"])
-        tx_snr, rate = db_to_power(v["snr_db_fixed"]), sweep.values[0]
+        sweep = SweepSpec("rate", v["rate"], v["snr_db_fixed"])
     else:
-        # tx_snr is swept per point; the stored value is the first grid point.
-        sweep = SweepSpec("snr_db", v["snr_db"])
-        tx_snr, rate = db_to_power(sweep.values[0]), v["rate_fixed"]
+        sweep = SweepSpec("snr_db", v["snr_db"], v["rate_fixed"])
 
     cfg = SystemConfig(
         rx_antennas=v["n"],
         streams=v["m"],
         ris_elements=v["l"],
-        tx_snr=tx_snr,
-        rate=rate,
         gain_direct=v["gain_d"],
         gain_tx_ris=v["gain_g"],
         gain_ris_rx=v["gain_h"],

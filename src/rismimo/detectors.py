@@ -34,6 +34,8 @@ every stream. Rank deficiency is flagged per trial, not raised, so
 failures get counted. Noise is never sampled: each gamma is a
 deterministic function of the drawn channel blocks, which is what lets the
 Monte Carlo engine reuse one draw across schemes (common random numbers).
+`batch_gammas` returns every SNR at unit transmit power, p = 1: on the
+Monte Carlo side p enters only through `montecarlo.threshold_at_unit_snr`.
 """
 
 import enum
@@ -178,7 +180,8 @@ def _last_pivot(gram, i):
 
 
 def batch_gammas(batch, cfg, schemes, streams=None):
-    """Per-stream SNRs for each requested scheme on a shared channel stack.
+    """Per-stream unit-power SNRs for each requested scheme on a shared
+    channel stack.
 
     Returns (gammas, ok) with ok a (count,) mask of trials where every
     requested elimination had full numerical rank. gammas[scheme] has
@@ -208,7 +211,6 @@ def batch_gammas(batch, cfg, schemes, streams=None):
 def _slice_gammas(batch, cfg, schemes, streams):
     """`batch_gammas` on a batch in one piece."""
     wanted = set(schemes)
-    p = cfg.tx_snr
     m = cfg.streams
     direct = batch.direct
     cascade = cascade_batch(batch) if wanted - {Scheme.DirectCsi} else None
@@ -235,10 +237,10 @@ def _slice_gammas(batch, cfg, schemes, streams):
                 g = np.concatenate((grams[Scheme.DirectCsi], cross[:, idx]), axis=1)
                 pivots, k = _eliminate(g)
                 piv = pivots[idx]
-                gam = p * np.abs(piv + g[idx, m + np.arange(len(idx))]) ** 2 / piv
+                gam = np.abs(piv + g[idx, m + np.arange(len(idx))]) ** 2 / piv
             else:
                 runs = [_last_pivot(grams[s], i) for i in idx]
-                gam = (p / (interference_power(cfg, s, p) + 1.0)
+                gam = ((1.0 / (interference_power(cfg, s) + 1.0))
                        * np.array([r[0] for r in runs]))
                 k = np.logical_and.reduce([r[1] for r in runs])
             gam = np.where(k, gam, 0.0).T

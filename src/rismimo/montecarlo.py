@@ -18,7 +18,9 @@ joint schemes, and equals p*z/(p*c+1) with a power-free z for the two
 interference-floor schemes).  The engine therefore samples SNRs once at
 unit transmit power and counts against the inverse-mapped threshold;
 the counted event is identical per trial, and a whole power sweep costs
-one sample collection.
+one sample collection.  The operating points come from a `SweepSpec`:
+its grid and its value held fixed, the rate in bit/s/Hz of an "snr_db"
+sweep or the transmit SNR in dB of a "rate" sweep.
 """
 
 import dataclasses
@@ -63,8 +65,11 @@ class OutageEstimate:
 
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
+    """Operating points: a grid of one variable, the other held at fixed."""
+
     variable: str
     values: tuple
+    fixed: float
 
     def __post_init__(self):
         if self.variable not in ("snr_db", "rate"):
@@ -78,9 +83,22 @@ class SweepSpec:
             raise ConfigurationError("sweep grid contains non-finite values")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ConfigurationError("sweep values must be strictly increasing")
-        if self.variable == "rate" and vals[0] <= 0.0:
-            raise ConfigurationError("rate sweep values must be positive")
+        fixed = float(self.fixed)
+        snr_db, rate = (vals, [fixed]) if self.variable == "snr_db" else ([fixed], vals)
+        check_positive(rate, "rate")
+        check_positive([db_to_power(v) for v in snr_db], "tx_snr")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "fixed", fixed)
+
+    def points(self):
+        """(snr_db, tx_snr, rate), one list entry per grid point. A rate
+        sweep's snr_db is 10 log10 of the power its fixed dB value stands
+        for, which may differ from that value in the last bit."""
+        n = len(self.values)
+        if self.variable == "snr_db":
+            return list(self.values), [db_to_power(v) for v in self.values], [self.fixed] * n
+        p = db_to_power(self.fixed)
+        return [10.0 * math.log10(p)] * n, [p] * n, list(self.values)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -246,15 +264,9 @@ def _validate_trials(trials):
     return trials
 
 
-def _unit_config(cfg):
-    if cfg.tx_snr == 1.0:
-        return cfg
-    return dataclasses.replace(cfg, tx_snr=1.0)
-
-
 def snr_samples(cfg, schemes, trials, seed, stream=None, workers=1):
-    """Per-trial SNR samples at the config's transmit power, one stream per
-    scheme (default: each scheme's reporting stream).
+    """Per-trial SNR samples at unit transmit power, one stream per scheme
+    (default: each scheme's reporting stream).
 
     Returns ({scheme: sorted 1-D array}, failures).  Deterministic for a
     given seed and independent of ``workers``.
@@ -276,9 +288,9 @@ def analytic_outage(
     cfg,
     stream,
     gamma_th,
+    tx_snr,
     scale_mode=DEFAULT_SCALE_MODE,
     joint_method=analytic.DEFAULT_JOINT_METHOD,
-    tx_snr=None,
 ):
     """Closed-form outage for one scheme, dispatching on the scheme enum;
     over a grid when gamma_th or tx_snr is one."""
@@ -288,10 +300,10 @@ def analytic_outage(
     if scheme is Scheme.RisCsi:
         return analytic.outage_ris(cfg, stream, gamma_th, tx_snr=tx_snr)
     if scheme is Scheme.FullCsi:
-        return analytic.outage_full_clt(cfg, stream, gamma_th, mode=scale_mode,
-                                        tx_snr=tx_snr)
+        return analytic.outage_full_clt(cfg, stream, gamma_th, tx_snr=tx_snr,
+                                        mode=scale_mode)
     return analytic.outage_joint(
-        cfg, stream, gamma_th, mode=scale_mode, method=joint_method, tx_snr=tx_snr
+        cfg, stream, gamma_th, tx_snr=tx_snr, mode=scale_mode, method=joint_method
     )
 
 
@@ -343,15 +355,7 @@ def run_sweep(
     workers = check_count(workers, "workers")
     streams = resolve_streams(cfg, schemes, stream)
 
-    points = len(sweep.values)
-    if sweep.variable == "snr_db":
-        snr_db = list(sweep.values)
-        tx_snr = [db_to_power(v) for v in snr_db]
-        rate = [cfg.rate] * points
-    else:
-        snr_db = [10.0 * math.log10(cfg.tx_snr)] * points
-        tx_snr = [cfg.tx_snr] * points
-        rate = list(sweep.values)
+    snr_db, tx_snr, rate = sweep.points()
     gamma_th = [threshold_from_rate(r) for r in rate]
     p, g = np.array(tx_snr, dtype=np.float64), np.array(gamma_th)
 
@@ -364,13 +368,12 @@ def run_sweep(
                  for s in schemes}
     _refuse_overflow(arguments, rate, snr_db, "the law argument")
     laws = {
-        s: analytic_outage(s, cfg, streams[s], g, scale_mode=scale_mode,
-                           joint_method=joint_method, tx_snr=p).tolist()
+        s: analytic_outage(s, cfg, streams[s], g, p, scale_mode=scale_mode,
+                           joint_method=joint_method).tolist()
         for s in schemes
     }
 
-    base = _unit_config(cfg)
-    samples, _ = snr_samples(base, schemes, trials, seed, streams, workers)
+    samples, _ = snr_samples(cfg, schemes, trials, seed, streams, workers)
     valid = next(iter(samples.values())).size
     counts = {s: np.searchsorted(samples[s], thresholds[s], side="left").tolist()
               for s in schemes}

@@ -24,11 +24,10 @@ from rismimo.channel import (
     clt_psi2,
 )
 from rismimo.detectors import RANK_RTOL, Scheme, interference_power
-from rismimo.errors import ConfigurationError, check_nonnegative
+from rismimo.errors import ConfigurationError, check_nonnegative, check_positive
 from rismimo.montecarlo import (
     _collect,
     _estimate_from_count,
-    _unit_config,
     _validate_trials,
     threshold_at_unit_snr,
 )
@@ -63,8 +62,9 @@ def clt_surrogate(cfg, seed, mode=DEFAULT_SCALE_MODE):
     return CltSurrogate(matrix, psi2, mode)
 
 
-def estimate_outage(cfg, scheme, gamma_th, trials, seed, workers=1):
-    """Empirical outage fraction per stream: P(gamma_i < gamma_th).
+def estimate_outage(cfg, scheme, gamma_th, tx_snr, trials, seed, workers=1):
+    """Empirical outage fraction per stream at transmit SNR tx_snr:
+    P(gamma_i < gamma_th).
 
     Returns a list of OutageEstimate, indexed by stream.  gamma_th may be 0
     (estimate 0), a positive level, or inf (estimate 1).  Counting runs at
@@ -76,15 +76,16 @@ def estimate_outage(cfg, scheme, gamma_th, trials, seed, workers=1):
     if math.isnan(g) or g < 0.0:
         raise ConfigurationError(f"gamma_th must be >= 0 or inf, got {gamma_th}")
     trials = _validate_trials(trials)
-    thr = threshold_at_unit_snr(scheme, cfg, cfg.tx_snr, g)
-    parts, failures = _collect(_unit_config(cfg), (scheme,), None, trials, seed, workers)
+    thr = threshold_at_unit_snr(scheme, cfg, tx_snr, g)
+    parts, failures = _collect(cfg, (scheme,), None, trials, seed, workers)
     counts = np.count_nonzero(np.concatenate(parts[scheme]) < thr, axis=0)
     valid = trials - failures
     return [_estimate_from_count(int(c), valid) for c in counts]
 
 
-def outage_joint_conditional(y, cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):
-    """Joint-detection outage conditioned on the direct coherent power y.
+def outage_joint_conditional(y, cfg, i, gamma_th, tx_snr, mode=DEFAULT_SCALE_MODE):
+    """Joint-detection outage at transmit SNR p = tx_snr, conditioned on
+    the direct coherent power y.
 
     Given y = p |r_ii|^2 and the cascade variance held at its stand-in
     value psi2_i, gamma_i is noncentral chi-square (2 dof, noncentrality y,
@@ -96,7 +97,7 @@ def outage_joint_conditional(y, cfg, i, gamma_th, mode=DEFAULT_SCALE_MODE):
     check_stream(cfg, i)
     g = check_nonnegative(gamma_th, "gamma_th")
     y = check_nonnegative(y, "conditional power")
-    sigma2 = 0.5 * cfg.tx_snr * clt_psi2(cfg, mode)[i]
+    sigma2 = 0.5 * check_positive(tx_snr, "tx_snr") * clt_psi2(cfg, mode)[i]
     return marcum_q1_complement(math.sqrt(y / sigma2), math.sqrt(g / sigma2))
 
 
@@ -149,11 +150,12 @@ def _qr_joint(direct, cascade, stream=None):
     return np.abs(rdiag + t) ** 2, ok
 
 
-def qr_gammas(batch, cfg, schemes, streams=None):
-    """`detectors.batch_gammas` by batched QR factors: the reference the
-    Gram-domain kernels are checked against. Same arguments and (gammas,
-    ok) return, with flagged trials left at whatever the QR gives."""
-    p = cfg.tx_snr
+def qr_gammas(batch, cfg, schemes, tx_snr, streams=None):
+    """`detectors.batch_gammas` by batched QR factors, at transmit SNR
+    p = tx_snr: the reference the Gram-domain kernels are checked against
+    at p = 1. Same (gammas, ok) return, with flagged trials left at
+    whatever the QR gives."""
+    p = check_positive(tx_snr, "tx_snr")
     cascade = cascade_batch(batch)
     ok = np.ones(batch.direct.shape[0], dtype=bool)
     gammas = {}

@@ -56,10 +56,10 @@ POWERS_DB = (-5.0, 0.0, 5.0, 10.0)
 GAMMA_TH = 7.0  # rate 3
 
 CONFIGS = {
-    (4, 2, 2): SystemConfig(4, 2, 2, tx_snr=1.0),
-    (8, 4, 8): SystemConfig(8, 4, 8, tx_snr=1.0),
-    (32, 12, 16): SystemConfig(32, 12, 16, tx_snr=1.0),
-    (32, 12, 32): SystemConfig(32, 12, 32, tx_snr=1.0),
+    (4, 2, 2): SystemConfig(4, 2, 2),
+    (8, 4, 8): SystemConfig(8, 4, 8),
+    (32, 12, 16): SystemConfig(32, 12, 16),
+    (32, 12, 32): SystemConfig(32, 12, 32),
 }
 
 
@@ -85,7 +85,7 @@ def thin_full_banks():
     """Full-CSI-only banks at the two narrow surfaces (for criterion 3)."""
     out = {}
     for l in (2, 8):
-        cfg = SystemConfig(32, 12, l, tx_snr=1.0)
+        cfg = SystemConfig(32, 12, l)
         samples, _ = snr_samples(cfg, (Scheme.FullCsi,), 200_000, SeedSpec(0, 0))
         out[l] = samples[Scheme.FullCsi]
     return out
@@ -107,10 +107,7 @@ def test_criterion_1_analytic_vs_monte_carlo(banks):
                 p = 10.0 ** (snr_db / 10.0)
                 thr = threshold_at_unit_snr(s, cfg, p, GAMMA_TH)
                 emp = _empirical(samples, thr)
-                cfg_p = SystemConfig(
-                    cfg.rx_antennas, cfg.streams, cfg.ris_elements, tx_snr=p
-                )
-                ana = analytic_outage(s, cfg_p, streams[s], GAMMA_TH)
+                ana = analytic_outage(s, cfg, streams[s], GAMMA_TH, p)
                 stderr = math.sqrt(emp * (1.0 - emp) / samples.size)
                 tol = max(3.0 * stderr, 1e-3)
                 gap = abs(emp - ana)
@@ -127,12 +124,13 @@ def test_criterion_1_analytic_vs_monte_carlo(banks):
 
 
 def test_criterion_2_floor_behavior():
-    cfg = SystemConfig(32, 12, 12, tx_snr=10.0**6.0)  # 60 dB
-    cold = SystemConfig(32, 12, 12, tx_snr=1.0)       # 0 dB
-    d_gap = abs(outage_direct(cfg, 0, GAMMA_TH) - outage_direct_limit(cfg, 0, GAMMA_TH))
-    r_gap = abs(outage_ris(cfg, 0, GAMMA_TH) - outage_ris_limit(cfg, 0, GAMMA_TH))
-    f_ratio = outage_full_clt(cfg, 0, GAMMA_TH) / outage_full_clt(cold, 0, GAMMA_TH)
-    j_ratio = outage_joint(cfg, 11, GAMMA_TH) / outage_joint(cold, 11, GAMMA_TH)
+    cfg = SystemConfig(32, 12, 12)
+    hot, cold = 10.0**6.0, 1.0  # 60 dB and 0 dB
+    d_gap = abs(outage_direct(cfg, 0, GAMMA_TH, hot) - outage_direct_limit(cfg, 0, GAMMA_TH))
+    r_gap = abs(outage_ris(cfg, 0, GAMMA_TH, hot) - outage_ris_limit(cfg, 0, GAMMA_TH))
+    f_ratio = (outage_full_clt(cfg, 0, GAMMA_TH, hot)
+               / outage_full_clt(cfg, 0, GAMMA_TH, cold))
+    j_ratio = outage_joint(cfg, 11, GAMMA_TH, hot) / outage_joint(cfg, 11, GAMMA_TH, cold)
     ok = d_gap < 1e-6 and r_gap < 1e-6 and f_ratio < 1e-6 and j_ratio < 1e-6
     detail = (f"floor gaps at 60 dB: direct {d_gap:.2g}, cascade {r_gap:.2g}; "
               f"no-floor ratios: full {f_ratio:.2g}, joint {j_ratio:.2g} "
@@ -143,7 +141,7 @@ def test_criterion_2_floor_behavior():
 def test_criterion_3_clt_quality_over_elements(banks, thin_full_banks):
     gaps = {}
     for l in (2, 8, 16, 32):
-        cfg = SystemConfig(32, 12, l, tx_snr=1.0)
+        cfg = SystemConfig(32, 12, l)
         psi2 = clt_psi2(cfg, SCALE_DERIVED)[0]
         # thresholds spanning the law's own body: analytic outage runs
         # 0.01..0.985 across the grid, so every point clears the >= 1e-2 bar
@@ -153,7 +151,7 @@ def test_criterion_3_clt_quality_over_elements(banks, thin_full_banks):
             else banks[(32, 12, l)][Scheme.FullCsi]
         )
         gaps[l] = max(
-            abs(_empirical(samples, g) - outage_full_clt(cfg, 0, g, mode=SCALE_DERIVED))
+            abs(_empirical(samples, g) - outage_full_clt(cfg, 0, g, 1.0, mode=SCALE_DERIVED))
             for g in grid
         )
     ok = gaps[32] <= 0.02 and gaps[2] > gaps[32]
@@ -164,13 +162,13 @@ def test_criterion_3_clt_quality_over_elements(banks, thin_full_banks):
 
 
 def test_criterion_4_joint_printed_vs_quadrature():
-    cfg0 = SystemConfig(32, 12, 16, tx_snr=1.0)
+    cfg = SystemConfig(32, 12, 16)
     worst = 0.0
     for snr_db in POWERS_DB:
-        cfg = SystemConfig(32, 12, 16, tx_snr=10.0 ** (snr_db / 10.0))
+        p = 10.0 ** (snr_db / 10.0)
         for g in (0.5, 1.0, 3.0, 7.0, 15.0):
-            a = outage_joint(cfg, 11, g, mode=SCALE_PAPER, method=JOINT_PRINTED)
-            b = outage_joint(cfg, 11, g, mode=SCALE_PAPER, method=JOINT_QUADRATURE)
+            a = outage_joint(cfg, 11, g, p, mode=SCALE_PAPER, method=JOINT_PRINTED)
+            b = outage_joint(cfg, 11, g, p, mode=SCALE_PAPER, method=JOINT_QUADRATURE)
             worst = max(worst, abs(a - b))
     ok = worst <= 1e-8
     detail = f"20-point grid, max |printed - quadrature| = {worst:.3g} (need <= 1e-8)"
@@ -179,7 +177,7 @@ def test_criterion_4_joint_printed_vs_quadrature():
 
 def test_criterion_5_scale_mode_adjudication(banks):
     # (a) moment oracle: cascade entry variance at L = 16
-    cfg16 = SystemConfig(1, 1, 16, tx_snr=1.0)
+    cfg16 = SystemConfig(1, 1, 16)
     acc = 0.0
     n_draws = 0
     for k in range(10):
@@ -202,8 +200,7 @@ def test_criterion_5_scale_mode_adjudication(banks):
             for snr_db in POWERS_DB:
                 p = 10.0 ** (snr_db / 10.0)
                 emp = _empirical(samples, threshold_at_unit_snr(s, cfg32, p, GAMMA_TH))
-                cfg_p = SystemConfig(32, 12, 32, tx_snr=p)
-                ana = analytic_outage(s, cfg_p, stream, GAMMA_TH, scale_mode=mode)
+                ana = analytic_outage(s, cfg32, stream, GAMMA_TH, p, scale_mode=mode)
                 stderr = math.sqrt(emp * (1.0 - emp) / samples.size)
                 excess = abs(emp - ana) - max(3.0 * stderr, 1e-3)
                 agree[mode] = max(agree[mode], excess)
@@ -211,7 +208,7 @@ def test_criterion_5_scale_mode_adjudication(banks):
     rejected_visibly = agree[SCALE_PAPER] > 0.1
 
     # (c) KS between true cascade entries and the surrogate at L = 32
-    cfg = SystemConfig(32, 12, 32, tx_snr=1.0)
+    cfg = SystemConfig(32, 12, 32)
     batch = draw_channel_batch(cfg, SeedSpec(6, 0), 27)
     casc = (composite_batch(batch) - batch.direct).ravel()
     sur = np.concatenate(
@@ -296,7 +293,7 @@ def test_criterion_7_special_function_suite():
 
 def test_criterion_8_distributional_checks():
     # (a) direct-CSI normalized SNR is Gamma(N - M + 1)
-    cfg = SystemConfig(32, 12, 16, tx_snr=1.0)
+    cfg = SystemConfig(32, 12, 16)
     samples, _ = snr_samples(cfg, (Scheme.DirectCsi,), 100_000, SeedSpec(8, 0))
     noise = cfg.ris_elements * cfg.gain_ris_rx * float(cfg.gain_tx_ris.sum()) + 1.0
     z = samples[Scheme.DirectCsi] * noise
@@ -306,7 +303,7 @@ def test_criterion_8_distributional_checks():
     # chi-square with 2 degrees of freedom; the conditional law is exact in
     # the wide-surface limit, so test it where the surrogate variance holds
     l = 128
-    cfgj = SystemConfig(32, 12, l, tx_snr=1.0)
+    cfgj = SystemConfig(32, 12, l)
     m = cfgj.streams
     first = draw_channel_batch(cfgj, SeedSpec(11, 0), 1)
     hd = first.direct[0]

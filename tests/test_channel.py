@@ -42,10 +42,10 @@ def test_config_rejects_more_streams_than_antennas():
 def test_config_rejects_bad_scalars():
     with pytest.raises(ConfigurationError):
         SystemConfig(4, 2, 0)
-    with pytest.raises(ConfigurationError):
-        SystemConfig(4, 2, 3, tx_snr=0.0)
-    with pytest.raises(ConfigurationError):
-        SystemConfig(4, 2, 3, rate=-1.0)
+    # the operating point is the sweep's (SweepSpec.fixed), not the system's
+    for point in ({"tx_snr": 1.0}, {"rate": 3.0}):
+        with pytest.raises(TypeError):
+            SystemConfig(4, 2, 3, **point)
     with pytest.raises(ConfigurationError):
         SystemConfig(4, 2, 3, gain_ris_rx=math.inf)
 
@@ -333,6 +333,6 @@ def test_surrogate_variance():
 
 def test_config_replace_keeps_gain_semantics():
     cfg = SystemConfig(4, 2, 3, gain_direct=(0.3, 0.6))
-    swapped = dataclasses.replace(cfg, tx_snr=4.0)
-    assert swapped.tx_snr == 4.0
+    swapped = dataclasses.replace(cfg, gain_ris_rx=4.0)
+    assert swapped.gain_ris_rx == 4.0
     assert np.allclose(swapped.gain_direct, cfg.gain_direct)

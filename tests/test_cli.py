@@ -34,7 +34,7 @@ def test_preset_snr_sweep_structure():
     man = cli_manifest("--preset", "fig1")
     cfg = man.config
     assert (cfg.rx_antennas, cfg.streams, cfg.ris_elements) == (32, 12, 16)
-    assert cfg.rate == 3.0
+    assert man.sweep.fixed == 3.0  # the rate held fixed
     assert np.allclose(cfg.gain_direct, 1.0)
     assert np.allclose(cfg.gain_tx_ris, 1.0)
     assert cfg.gain_ris_rx == 1.0
@@ -60,7 +60,8 @@ def test_preset_rate_sweep_structure():
     assert cfg.gain_ris_rx == 0.7
     assert np.allclose(cfg.gain_tx_ris, 0.7)
     assert np.allclose(cfg.gain_direct, 0.7)
-    assert cfg.tx_snr == pytest.approx(10.0**0.3)
+    assert man.sweep.fixed == 3.0  # the transmit SNR in dB held fixed
+    assert man.sweep.points()[1] == [pytest.approx(10.0**0.3)] * 12
     assert man.sweep.variable == "rate"
     assert man.sweep.values == tuple(np.arange(1, 13) * 0.5)
     assert man.schemes == tuple(Scheme)
@@ -415,6 +416,17 @@ def test_unwritable_output_fails_before_sampling(tmp_path, capsys, monkeypatch):
     argv = ["--preset", "fig1", "--trials", "20480", "--output", str(missing)]
     assert main(argv) == EXIT_IO
     assert "i/o error" in capsys.readouterr().err
+
+
+def test_directory_output_fails_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_sweep ran before the output was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    argv = ["--preset", "fig1", "--trials", "20480", "--output", str(tmp_path)]
+    assert main(argv) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err == f"i/o error: output path is a directory: {tmp_path}\n", err
 
 
 def test_config_file_supplies_and_flags_override(tmp_path):

@@ -49,32 +49,32 @@ def test_scalar_case_all_schemes():
     # N = M = L = 1 lets every formula be checked by hand
     hd, h, g, phi = 2.0 + 0.0j, 1.0j, 3.0, math.pi / 2
     batch = _scalar_batch(hd, h, g, phi)
-    cfg = SystemConfig(1, 1, 1, tx_snr=4.0, gain_direct=1.0, gain_tx_ris=1.0)
+    cfg = SystemConfig(1, 1, 1, gain_direct=1.0, gain_tx_ris=1.0, gain_ris_rx=2.0)
     casc = h * np.exp(1j * phi) * g  # = -3
     comp = hd + casc                 # = -1
-    gam, ok = batch_gammas(batch, cfg, ALL)
+    gam, ok = batch_gammas(batch, cfg, ALL)  # at unit transmit power
     assert ok.all()
 
     got_d = gam[Scheme.DirectCsi][0, 0]
-    assert got_d == pytest.approx(4.0 * abs(hd) ** 2 / (4.0 * 1 * 1 * 1 + 1.0))
+    assert got_d == pytest.approx(abs(hd) ** 2 / (1 * 2.0 * 1.0 + 1.0))
 
     got_ris = gam[Scheme.RisCsi][0, 0]
-    assert got_ris == pytest.approx(4.0 * abs(casc) ** 2 / (4.0 * 1.0 + 1.0))
+    assert got_ris == pytest.approx(abs(casc) ** 2 / (1.0 + 1.0))
 
     got_full = gam[Scheme.FullCsi][0, 0]
-    assert got_full == pytest.approx(4.0 * abs(comp) ** 2)
+    assert got_full == pytest.approx(abs(comp) ** 2)
 
     # QR of a scalar gives r = |hd|, q = hd/|hd|; the rotated cascade is
     # conj(q) * casc
     qc = np.conj(hd / abs(hd)) * casc
     got_j = gam[Scheme.Joint][0, 0]
-    assert got_j == pytest.approx(4.0 * abs(abs(hd) + qc) ** 2)
+    assert got_j == pytest.approx(abs(abs(hd) + qc) ** 2)
 
 
 def test_full_reduces_to_plain_zf_when_surface_silent():
-    # zero reflected path: full-CSI gamma is p / [(H_d^H H_d)^{-1}]_ii and the
-    # joint gamma is p |r_ii|^2
-    cfg = SystemConfig(5, 3, 2, tx_snr=2.5)
+    # zero reflected path: full-CSI gamma is 1 / [(H_d^H H_d)^{-1}]_ii and the
+    # joint gamma is |r_ii|^2, at unit transmit power
+    cfg = SystemConfig(5, 3, 2)
     rng = np.random.default_rng(8)
     hd = rng.normal(size=(5, 3)) + 1j * rng.normal(size=(5, 3))
     batch = ChannelBatch(
@@ -86,10 +86,10 @@ def test_full_reduces_to_plain_zf_when_surface_silent():
     gam, ok = batch_gammas(batch, cfg, (Scheme.FullCsi, Scheme.Joint))
     assert ok.all()
     ginv = np.diag(np.linalg.inv(hd.conj().T @ hd)).real
-    assert np.allclose(gam[Scheme.FullCsi][0], 2.5 / ginv, rtol=1e-12)
+    assert np.allclose(gam[Scheme.FullCsi][0], 1.0 / ginv, rtol=1e-12)
 
     r = np.linalg.qr(hd)[1]
-    want_j = 2.5 * np.abs(np.diagonal(r)) ** 2
+    want_j = np.abs(np.diagonal(r)) ** 2
     assert np.allclose(gam[Scheme.Joint][0], want_j, rtol=1e-12)
 
 
@@ -98,7 +98,7 @@ def test_direct_gamma_is_gamma_distributed():
     # in the unit-gain case; this is the analytic backbone of the direct and
     # full-CSI outage laws, so check it against the drawn ensemble
     n, m = 6, 3
-    cfg = SystemConfig(n, m, 2, tx_snr=1.0)
+    cfg = SystemConfig(n, m, 2)
     batch = draw_channel_batch(cfg, SeedSpec(22, 0), 20_000)
     gam, ok = batch_gammas(batch, cfg, (Scheme.DirectCsi,))
     assert ok.all()
@@ -140,31 +140,31 @@ def test_ris_requires_enough_elements():
 
 
 def _oracle_gammas(batch, cfg, t):
-    """Trial t's per-stream SNRs in plain numpy: p / diag(inv(A^H A)) with
-    the interference floors written out for the ZF schemes, and
-    |r_ii + q_i^H c_i|^2 from numpy's QR of H_d for the joint one."""
-    p = cfg.tx_snr
+    """Trial t's per-stream unit-power SNRs in plain numpy:
+    1 / diag(inv(A^H A)) with the interference floors written out for the
+    ZF schemes, and |r_ii + q_i^H c_i|^2 from numpy's QR of H_d for the
+    joint one."""
     hd = batch.direct[t]
     casc = batch.ris_rx[t] @ np.diag(np.exp(1j * batch.phases[t])) @ batch.tx_ris[t]
 
     def gram_inv_diag(a):
         return np.diag(np.linalg.inv(a.conj().T @ a)).real
 
-    noise_d = p * cfg.ris_elements * cfg.gain_ris_rx * cfg.gain_tx_ris.sum() + 1.0
-    noise_ris = p * cfg.gain_direct.sum() + 1.0
+    noise_d = cfg.ris_elements * cfg.gain_ris_rx * cfg.gain_tx_ris.sum() + 1.0
+    noise_ris = cfg.gain_direct.sum() + 1.0
     q, r = np.linalg.qr(hd)
     gammas = {
-        Scheme.DirectCsi: p / (noise_d * gram_inv_diag(hd)),
-        Scheme.FullCsi: p / gram_inv_diag(hd + casc),
-        Scheme.Joint: p * np.abs(np.diagonal(r) + np.sum(q.conj() * casc, axis=0)) ** 2,
+        Scheme.DirectCsi: 1.0 / (noise_d * gram_inv_diag(hd)),
+        Scheme.FullCsi: 1.0 / gram_inv_diag(hd + casc),
+        Scheme.Joint: np.abs(np.diagonal(r) + np.sum(q.conj() * casc, axis=0)) ** 2,
     }
     if cfg.ris_elements >= cfg.streams:  # else B^H B is singular
-        gammas[Scheme.RisCsi] = p / (noise_ris * gram_inv_diag(casc))
+        gammas[Scheme.RisCsi] = 1.0 / (noise_ris * gram_inv_diag(casc))
     return gammas
 
 
 ORACLE_CONFIGS = (
-    SystemConfig(5, 3, 4, tx_snr=3.0, gain_direct=(0.5, 1.0, 1.5),
+    SystemConfig(5, 3, 4, gain_direct=(0.5, 1.0, 1.5),
                  gain_tx_ris=0.7, gain_ris_rx=1.3),
     SystemConfig(4, 2, 2),
     SystemConfig(3, 2, 6),  # L > N
@@ -277,7 +277,7 @@ QR_CASES = {
     "4x2x2": (SystemConfig(4, 2, 2), 64),
     "32x14x16": (SystemConfig(32, 14, 16, gain_direct=np.linspace(0.4, 1.7, 14),
                               gain_tx_ris=np.linspace(1.5, 0.3, 14),
-                              gain_ris_rx=0.8, tx_snr=2.0), 1),
+                              gain_ris_rx=0.8), 1),
 }
 
 
@@ -291,7 +291,7 @@ def test_kernels_match_qr_reference(case):
         requests = [None] + [dict.fromkeys(ALL, i) for i in range(cfg.streams)]
         for streams in requests:
             got, ok = batch_gammas(batch, cfg, ALL, streams)
-            want, want_ok = qr_gammas(batch, cfg, ALL, streams)
+            want, want_ok = qr_gammas(batch, cfg, ALL, 1.0, streams)
             np.testing.assert_array_equal(ok, want_ok)
             for scheme in ALL:
                 np.testing.assert_allclose(got[scheme], want[scheme], rtol=1e-9,

@@ -1,8 +1,8 @@
 """Monte Carlo engine: estimator contract, power mapping, sweeps, determinism."""
 
-import dataclasses
 import math
 import os
+import re
 import threading
 import tracemalloc
 
@@ -32,65 +32,66 @@ from rismimo.montecarlo import (
     threshold_at_unit_snr,
 )
 
-from helpers import estimate_outage
+from helpers import estimate_outage, qr_gammas
 
 
-SMALL = SystemConfig(4, 2, 2, tx_snr=1.0)
+SMALL = SystemConfig(4, 2, 2)
 
 
 def test_threshold_sentinels():
-    ests = estimate_outage(SMALL, Scheme.DirectCsi, 0.0, 500, SeedSpec(70, 0))
+    ests = estimate_outage(SMALL, Scheme.DirectCsi, 0.0, 1.0, 500, SeedSpec(70, 0))
     assert len(ests) == SMALL.streams
     assert all(e.probability == 0.0 for e in ests)
-    ests = estimate_outage(SMALL, Scheme.FullCsi, math.inf, 500, SeedSpec(70, 0))
+    ests = estimate_outage(SMALL, Scheme.FullCsi, math.inf, 1.0, 500, SeedSpec(70, 0))
     assert all(e.probability == 1.0 for e in ests)
     with pytest.raises(ConfigurationError):
-        estimate_outage(SMALL, Scheme.FullCsi, -1.0, 500, SeedSpec(70, 0))
+        estimate_outage(SMALL, Scheme.FullCsi, -1.0, 1.0, 500, SeedSpec(70, 0))
     with pytest.raises(ConfigurationError):
-        estimate_outage(SMALL, Scheme.FullCsi, 1.0, 0, SeedSpec(70, 0))
+        estimate_outage(SMALL, Scheme.FullCsi, 1.0, 1.0, 0, SeedSpec(70, 0))
 
 
 def test_direct_estimate_within_three_stderr():
-    cfg = SystemConfig(4, 2, 8, tx_snr=1.0)
-    want = outage_direct(cfg, 0, 7.0)
-    est = estimate_outage(cfg, Scheme.DirectCsi, 7.0, 100_000, SeedSpec(71, 0))[0]
+    cfg = SystemConfig(4, 2, 8)
+    want = outage_direct(cfg, 0, 7.0, 1.0)
+    est = estimate_outage(cfg, Scheme.DirectCsi, 7.0, 1.0, 100_000, SeedSpec(71, 0))[0]
     assert abs(est.probability - want) <= 3 * max(est.stderr, 1e-5)
     # non-degenerate operating point as well
-    cfg2 = SystemConfig(8, 2, 1, tx_snr=1.0)
-    want2 = outage_direct(cfg2, 0, 2.0)
+    cfg2 = SystemConfig(8, 2, 1)
+    want2 = outage_direct(cfg2, 0, 2.0, 1.0)
     assert 0.2 < want2 < 0.6
-    est2 = estimate_outage(cfg2, Scheme.DirectCsi, 2.0, 100_000, SeedSpec(71, 0))[0]
+    est2 = estimate_outage(cfg2, Scheme.DirectCsi, 2.0, 1.0, 100_000, SeedSpec(71, 0))[0]
     assert abs(est2.probability - want2) <= 3 * est2.stderr
 
 
 def test_ris_estimate_within_three_stderr():
-    cfg = SystemConfig(8, 4, 8, tx_snr=2.0)
-    want = outage_ris(cfg, 0, 3.0)
-    est = estimate_outage(cfg, Scheme.RisCsi, 3.0, 100_000, SeedSpec(72, 0))[0]
+    cfg = SystemConfig(8, 4, 8)
+    want = outage_ris(cfg, 0, 3.0, 2.0)
+    est = estimate_outage(cfg, Scheme.RisCsi, 3.0, 2.0, 100_000, SeedSpec(72, 0))[0]
     assert abs(est.probability - want) <= 3 * est.stderr
 
 
 def test_stderr_halves_when_trials_quadruple():
-    a = estimate_outage(SMALL, Scheme.FullCsi, 3.0, 10_000, SeedSpec(73, 0))[0]
-    b = estimate_outage(SMALL, Scheme.FullCsi, 3.0, 40_000, SeedSpec(73, 0))[0]
+    a = estimate_outage(SMALL, Scheme.FullCsi, 3.0, 1.0, 10_000, SeedSpec(73, 0))[0]
+    b = estimate_outage(SMALL, Scheme.FullCsi, 3.0, 1.0, 40_000, SeedSpec(73, 0))[0]
     assert 0.05 < a.probability < 0.95
     assert b.stderr == pytest.approx(a.stderr / 2.0, rel=0.10)
 
 
 def test_power_mapping_reproduces_per_trial_events():
     # the engine counts unit-power samples against a mapped threshold; the
-    # slow route evaluates gammas at the actual power and compares directly.
-    # The two must agree trial for trial, not just on average.
-    cfg = SystemConfig(5, 3, 4, tx_snr=4.0, gain_direct=(0.5, 1.0, 2.0),
+    # slow route evaluates gammas at the actual power, by QR factors, and
+    # compares directly. The two must agree trial for trial, not just on
+    # average.
+    cfg = SystemConfig(5, 3, 4, gain_direct=(0.5, 1.0, 2.0),
                        gain_ris_rx=0.7, gain_tx_ris=1.3)
-    unit = dataclasses.replace(cfg, tx_snr=1.0)
+    p = 4.0
     batch = draw_channel_batch(cfg, SeedSpec(74, 0), 300)
     gamma_th = 3.5
-    hot, ok_h = batch_gammas(batch, cfg, tuple(Scheme))
-    cold, ok_c = batch_gammas(batch, unit, tuple(Scheme))
+    hot, ok_h = qr_gammas(batch, cfg, tuple(Scheme), p)
+    cold, ok_c = batch_gammas(batch, cfg, tuple(Scheme))
     assert np.array_equal(ok_h, ok_c)
     for s in Scheme:
-        thr = threshold_at_unit_snr(s, cfg, cfg.tx_snr, gamma_th)
+        thr = threshold_at_unit_snr(s, cfg, p, gamma_th)
         direct_events = hot[s][ok_h] < gamma_th
         mapped_events = cold[s][ok_c] < thr
         assert np.array_equal(direct_events, mapped_events), s
@@ -125,8 +126,8 @@ def test_worker_count_does_not_change_results():
         b, _ = snr_samples(SMALL, (Scheme.FullCsi,), 5_000, SeedSpec(77, 0),
                            workers=workers)
         assert np.array_equal(a[Scheme.FullCsi], b[Scheme.FullCsi])
-    e1 = estimate_outage(SMALL, Scheme.Joint, 2.0, 5_000, SeedSpec(77, 0), workers=1)
-    e2 = estimate_outage(SMALL, Scheme.Joint, 2.0, 5_000, SeedSpec(77, 0), workers=2)
+    e1 = estimate_outage(SMALL, Scheme.Joint, 2.0, 1.0, 5_000, SeedSpec(77, 0), workers=1)
+    e2 = estimate_outage(SMALL, Scheme.Joint, 2.0, 1.0, 5_000, SeedSpec(77, 0), workers=2)
     assert [e.probability for e in e1] == [e.probability for e in e2]
 
 
@@ -172,12 +173,12 @@ def test_failure_rate_guard():
 
 def test_estimates_are_per_stream():
     cfg = SystemConfig(6, 3, 2, gain_direct=(1.0, 3.0, 30.0))
-    ests = estimate_outage(cfg, Scheme.DirectCsi, 1.0, 20_000, SeedSpec(79, 0))
+    ests = estimate_outage(cfg, Scheme.DirectCsi, 1.0, 1.0, 20_000, SeedSpec(79, 0))
     assert len(ests) == 3
     probs = [e.probability for e in ests]
     assert probs[0] > probs[1] > probs[2]  # weaker stream, more outage
     for i, e in enumerate(ests):
-        want = outage_direct(cfg, i, 1.0)
+        want = outage_direct(cfg, i, 1.0, 1.0)
         assert abs(e.probability - want) <= 4 * max(e.stderr, 1e-4)
 
 
@@ -201,50 +202,70 @@ def test_scheme_and_stream_resolution():
 
 
 def test_sweep_spec_validation():
-    SweepSpec("snr_db", (-5.0, 0.0, 5.0))
+    SweepSpec("snr_db", (-5.0, 0.0, 5.0), 3.0)
     with pytest.raises(ConfigurationError):
-        SweepSpec("power", (1.0,))
+        SweepSpec("power", (1.0,), 3.0)
     with pytest.raises(ConfigurationError):
-        SweepSpec("snr_db", ())
+        SweepSpec("snr_db", (), 3.0)
     with pytest.raises(ConfigurationError):
-        SweepSpec("snr_db", (0.0, 0.0))
+        SweepSpec("snr_db", (0.0, 0.0), 3.0)
     with pytest.raises(ConfigurationError):
-        SweepSpec("rate", (0.0, 1.0))
+        SweepSpec("rate", (0.0, 1.0), 3.0)
     with pytest.raises(ConfigurationError):
-        SweepSpec("snr_db", (0.0, math.inf))
+        SweepSpec("snr_db", (0.0, math.inf), 3.0)
+
+
+def test_sweep_spec_checks_its_fixed_value():
+    # the rate of an SNR sweep, the transmit SNR in dB of a rate sweep,
+    # each with the rule and message of the quantity it stands for
+    for variable, fixed, rule in (
+        ("snr_db", math.nan, "rate must be finite and > 0"),
+        ("snr_db", math.inf, "rate must be finite and > 0"),
+        ("snr_db", 0.0, "rate must be finite and > 0"),
+        ("snr_db", -1.0, "rate must be finite and > 0"),
+        ("rate", math.nan, "tx_snr must be finite and > 0"),
+        ("rate", math.inf, "tx_snr must be finite and > 0"),
+        ("rate", -4000.0, "tx_snr must be finite and > 0"),
+        ("rate", 4000.0, "4000.0 dB overflows a float power"),
+    ):
+        with pytest.raises(ConfigurationError, match=re.escape(rule)):
+            SweepSpec(variable, (1.0, 2.0), fixed)
+    # so does every point of an SNR sweep's grid, not only the first
+    with pytest.raises(ConfigurationError, match="tx_snr must be finite and > 0"):
+        SweepSpec("snr_db", (-4000.0, 0.0), 3.0)
+    with pytest.raises(ConfigurationError, match="4000.0 dB overflows a float power"):
+        SweepSpec("snr_db", (0.0, 4000.0), 3.0)
 
 
 def test_single_point_sweep_reduces_to_estimate():
-    cfg = dataclasses.replace(SMALL, rate=2.0)
-    (point,) = run_sweep(cfg, SweepSpec("snr_db", (3.0,)), (Scheme.FullCsi,),
+    (point,) = run_sweep(SMALL, SweepSpec("snr_db", (3.0,), 2.0), (Scheme.FullCsi,),
                          3_000, SeedSpec(80, 0))
-    cfg_at = dataclasses.replace(cfg, tx_snr=10.0 ** 0.3)
-    est = estimate_outage(cfg_at, Scheme.FullCsi, 3.0, 3_000, SeedSpec(80, 0))[0]
+    p = 10.0 ** 0.3
+    est = estimate_outage(SMALL, Scheme.FullCsi, 3.0, p, 3_000, SeedSpec(80, 0))[0]
     got = point.empirical[Scheme.FullCsi]
     assert got.probability == est.probability  # same trials, same events
     assert got.stderr == est.stderr
     assert point.gamma_th == 3.0
     assert point.analytic[Scheme.FullCsi] == pytest.approx(
-        outage_full_clt(cfg_at, 0, 3.0)
+        outage_full_clt(SMALL, 0, 3.0, p)
     )
 
 
 def test_sweep_grid_columns():
-    cfg = SystemConfig(4, 2, 2, tx_snr=2.0)
-    points = run_sweep(cfg, SweepSpec("rate", (1.0, 2.0, 3.0)), (Scheme.FullCsi,),
-                       2_000, SeedSpec(81, 0))
+    points = run_sweep(SMALL, SweepSpec("rate", (1.0, 2.0, 3.0), 10 * math.log10(2.0)),
+                       (Scheme.FullCsi,), 2_000, SeedSpec(81, 0))
     assert [p.gamma_th for p in points] == [1.0, 3.0, 7.0]
     assert all(p.snr_db == pytest.approx(10 * math.log10(2.0)) for p in points)
-    snr_points = run_sweep(cfg, SweepSpec("snr_db", (-2.0, 0.0, 2.0)),
+    snr_points = run_sweep(SMALL, SweepSpec("snr_db", (-2.0, 0.0, 2.0), 3.0),
                            (Scheme.FullCsi,), 2_000, SeedSpec(81, 0))
     assert [p.snr_db for p in snr_points] == [-2.0, 0.0, 2.0]
-    assert all(p.gamma_th == 7.0 for p in snr_points)  # default rate 3
+    assert all(p.gamma_th == 7.0 for p in snr_points)  # rate 3
 
 
 def test_sweep_empirical_curve_is_monotone_in_power():
     # common draws across grid points make the empirical curve exactly
     # monotone, not just statistically so
-    points = run_sweep(SMALL, SweepSpec("snr_db", tuple(range(-6, 7, 2))),
+    points = run_sweep(SMALL, SweepSpec("snr_db", tuple(range(-6, 7, 2)), 3.0),
                        (Scheme.FullCsi, Scheme.Joint), 4_000, SeedSpec(82, 0))
     for s in (Scheme.FullCsi, Scheme.Joint):
         probs = [p.empirical[s].probability for p in points]
@@ -256,30 +277,30 @@ def test_sweep_validates_inputs():
         run_sweep(SMALL, ("snr_db", (0.0,)), (Scheme.FullCsi,), 100, SeedSpec(83, 0))
     cfg = SystemConfig(4, 3, 2)
     with pytest.raises(ConfigurationError):
-        run_sweep(cfg, SweepSpec("snr_db", (0.0,)), (Scheme.RisCsi,), 100,
+        run_sweep(cfg, SweepSpec("snr_db", (0.0,), 3.0), (Scheme.RisCsi,), 100,
                   SeedSpec(83, 0))
     with pytest.raises(ConfigurationError):
-        run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), (Scheme.Joint,), 100,
+        run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), (Scheme.Joint,), 100,
                   SeedSpec(83, 0), joint_method="printed", scale_mode="derived")
     # the last block's index must fit a seed key
     most = 2**56 * montecarlo.TRIALS_PER_BLOCK
     assert montecarlo._validate_trials(most) == most
     with pytest.raises(ConfigurationError, match="trials"):
-        run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), (Scheme.FullCsi,), most + 1,
+        run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), (Scheme.FullCsi,), most + 1,
                   SeedSpec(83, 0))
     for workers in (0, -2):
         with pytest.raises(ConfigurationError):
-            run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), (Scheme.FullCsi,), 100,
+            run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), (Scheme.FullCsi,), 100,
                       SeedSpec(83, 0), workers=workers)
         with pytest.raises(ConfigurationError):
-            estimate_outage(SMALL, Scheme.FullCsi, 1.0, 100, SeedSpec(83, 0),
+            estimate_outage(SMALL, Scheme.FullCsi, 1.0, 1.0, 100, SeedSpec(83, 0),
                             workers=workers)
     # no count or index is truncated: trials 2.9 would run 2 trials
     for bad in ({"trials": 2.9}, {"trials": True}, {"workers": 1.5}, {"stream": 1.7}):
         args = {"trials": 100, **bad}
         trials = args.pop("trials")
         with pytest.raises(ConfigurationError):
-            run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), (Scheme.FullCsi,), trials,
+            run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), (Scheme.FullCsi,), trials,
                       SeedSpec(83, 0), **args)
         with pytest.raises(ConfigurationError):
             snr_samples(SMALL, (Scheme.FullCsi,), trials, SeedSpec(83, 0), **args)
@@ -292,8 +313,8 @@ def test_sweep_ris_law_matches_monte_carlo_when_elements_exceed_antennas():
     # L > N: given G the rows of H Phi G are i.i.d. CN(0, xi2_H G^H G), so
     # the product-gamma law holds for every N >= M and L >= M
     for dims in ((4, 2, 8), (8, 4, 16)):
-        cfg = SystemConfig(*dims, tx_snr=1.0)
-        points = run_sweep(cfg, SweepSpec("snr_db", (0.0, 10.0, 20.0)),
+        cfg = SystemConfig(*dims)
+        points = run_sweep(cfg, SweepSpec("snr_db", (0.0, 10.0, 20.0), 3.0),
                            (Scheme.RisCsi,), 102_400, SeedSpec(84, 0))
         for point in points:
             want = point.analytic[Scheme.RisCsi]
@@ -304,12 +325,12 @@ def test_sweep_ris_law_matches_monte_carlo_when_elements_exceed_antennas():
 
 def test_sweep_columns_equal_per_point_law_calls():
     # each law runs once over the whole grid, and every point of its column
-    # keeps the bits of a one-point call at that point's config
+    # keeps the bits of a one-point call at that point
     schemes = tuple(Scheme)
-    unequal = SystemConfig(6, 2, 2, rate=2.0, gain_direct=[0.3, 2.0])
-    sweeps = (SweepSpec("snr_db", tuple(np.arange(-10.0, 10.5, 0.5))),
-              SweepSpec("rate", tuple(np.arange(0.25, 8.25, 0.25))))
-    for cfg in (SystemConfig(4, 2, 2, rate=2.0), SystemConfig(8, 4, 8, rate=2.0), unequal):
+    unequal = SystemConfig(6, 2, 2, gain_direct=[0.3, 2.0])
+    sweeps = (SweepSpec("snr_db", tuple(np.arange(-10.0, 10.5, 0.5)), 2.0),
+              SweepSpec("rate", tuple(np.arange(0.25, 8.25, 0.25)), 0.0))
+    for cfg in (SystemConfig(4, 2, 2), SystemConfig(8, 4, 8), unequal):
         for sweep in sweeps:
             for mode, method in (("derived", "quadrature"), ("paper", "quadrature"),
                                  ("paper", "printed")):
@@ -319,11 +340,9 @@ def test_sweep_columns_equal_per_point_law_calls():
                 for s in schemes:
                     want = []
                     for value, point in zip(sweep.values, points):
-                        at = cfg
-                        if sweep.variable == "snr_db":
-                            at = dataclasses.replace(cfg, tx_snr=10.0 ** (value / 10.0))
+                        p = 10.0 ** (value / 10.0) if sweep.variable == "snr_db" else 1.0
                         want.append(montecarlo.analytic_outage(
-                            s, at, streams[s], point.gamma_th,
+                            s, cfg, streams[s], point.gamma_th, p,
                             scale_mode=mode, joint_method=method))
                     got = [point.analytic[s] for point in points]
                     assert np.array_equal(got, want), (cfg, sweep.variable, mode, method, s)
@@ -346,7 +365,7 @@ def test_sweep_law_failure_stops_before_sampling(monkeypatch):
     monkeypatch.setattr(analytic, "outage_ris", failing_law)
     monkeypatch.setattr(montecarlo, "snr_samples", recording_samples)
     with pytest.raises(NumericError):
-        run_sweep(SMALL, SweepSpec("snr_db", (0.0, 5.0, 10.0)),
+        run_sweep(SMALL, SweepSpec("snr_db", (0.0, 5.0, 10.0), 3.0),
                   (Scheme.DirectCsi, Scheme.RisCsi), 1_000, SeedSpec(86, 0))
     assert sampled == []
 
@@ -468,7 +487,7 @@ def test_a_failing_slice_reraises_and_leaves_no_thread(monkeypatch, failing):
 def test_a_drawn_slice_leaves_no_thread():
     threads = threading.active_count()
     snr_samples(SMALL, ALL, 3000, SeedSpec(95, 0))
-    run_sweep(SMALL, SweepSpec("snr_db", (0.0,)), ALL, 3000, SeedSpec(95, 0))
+    run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), ALL, 3000, SeedSpec(95, 0))
     assert threading.active_count() == threads
 
 
