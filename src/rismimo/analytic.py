@@ -178,9 +178,11 @@ def outage_joint(
     mode="paper": psi2_i is fixed at the 1/L-scaled stand-in value.
     method="quadrature" averages the Marcum-Q conditional outage over
     y = p |r_ii|^2 ~ p xi2_D,i Gamma(N-i) exactly: the average of the
-    Marcum series is a negative-binomial series of positive terms
-    (`specfun.marcum_complement_gamma_average`), and the QUADPACK integral
-    of the conditional outage over y remains its oracle in the tests.
+    Marcum series is a negative-binomial series of positive terms, summed
+    as a window of Poisson weights against the negative-binomial CDF
+    (`specfun.marcum_complement_gamma_average`). It shares no step with
+    the printed form, and the QUADPACK integral of the conditional outage
+    over y remains its oracle in the tests.
     method="printed" evaluates the paper's closed-form series; its
     constants hard-code the paper scaling, so it is only accepted with
     mode="paper".

@@ -14,14 +14,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammainc, gammainccinv, gammaln, kve
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaln, kve
 
 from .errors import (ConfigurationError, NumericError, check_count,
                      check_nonnegative, check_positive)
 
 # Longest k-grid marcum_complement_gamma_average may build: 8 MB per array.
 _MAX_SERIES_TERMS = 1 << 20
+# log j! - log(sqrt(2 pi j) (j/e)^j) for j = 0..15 (j = 0 unused); past 15
+# the Stirling series to j^-9 is off by less than 2e-16
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
 
 # ln 2 = _LN2_HI + _LN2_LO, with 21 trailing zero bits in _LN2_HI so that
 # q * _LN2_HI is exact for integers q < 2^21 (the split of fdlibm's exp)
@@ -160,30 +168,67 @@ def marcum_complement_gamma_average(n, w, x):
     In the Marcum series 1 - Q1(a, b) = sum_k Pois(k; a^2/2) P(k+1, b^2/2)
     only the Poisson weight depends on a, and its average over a^2/2 = w G
     is the negative-binomial weight NB(k; n, w/(1+w)):
-        sum_k C(n+k-1, k) (1+w)^{-n} (w/(1+w))^k P(k+1, x).
-    Every term is positive, so the tail does not cancel. The weights are
-    formed in log space. The k-grid ends 14 standard deviations plus 60
-    terms past the mean of Pois(w g*), where P(G > g*) = 1e-16: the weight
-    beyond it is at most P(G > g*) plus that Poisson tail. (A grid 14
-    negative-binomial standard deviations past the mean leaves 3e-8 of
-    the weight out at n = 1, w = 25.) A grid longer than _MAX_SERIES_TERMS
-    raises NumericError before anything is allocated. The weights depend
-    on (n, w) only, so a curve over x builds them once.
+        S(x) = sum_{k<K} NB(k) P(k+1, x).
+    The k-grid ends 14 standard deviations plus 60 terms past the mean of
+    Pois(w g*), where P(G > g*) = 1e-16: the weight beyond it is at most
+    P(G > g*) plus that Poisson tail. (A grid 14 negative-binomial
+    standard deviations past the mean leaves 3e-8 of the weight out at
+    n = 1, w = 25.) A grid longer than _MAX_SERIES_TERMS raises
+    NumericError before anything is allocated.
+
+    Since P(k+1, x) = sum_{j>k} Pois(j; x), swapping the two sums gives
+        S(x) = sum_{j=1}^{K} Pois(j; x) C_{j-1} + C_{K-1} P(K+1, x),
+    with C the negative-binomial CDF over the grid. Every term is
+    positive, so the tail does not cancel. C depends on (n, w) only, so a
+    curve over x builds it once. Pois(j; x) is formed on a window
+    [lo, hi] around the mode (`_poisson_window`); the window widens until
+    what it leaves out, at most C_{lo-2} Q(lo, x) on the left and
+    P(hi+1, x) on the right, is below 1e-17 of the sum. Where x lies past
+    the grid the window is empty and S(x) = C_{K-1} P(K+1, x).
     """
     n = check_count(n, "gamma shape")
     w = check_positive(w, "weight ratio")
     x = check_nonnegative(x, "argument")
     if x == 0.0:
         return 0.0
-    orders, weights = _negative_binomial_weights(n, w)
-    return min(float(weights @ gammainc(orders, x)), 1.0)
+    cdf = _negative_binomial_cdf(n, w)
+    size = len(cdf)
+    # the Poisson mode, held just past the grid where x lies beyond it
+    mode = int(x) if x <= size else size + 1
+    # ten Poisson standard deviations a side: one pass but in the deepest tails
+    half = int(10.0 * math.sqrt(x)) + 30
+    while True:
+        lo = min(max(1, mode - half), size + 1)
+        hi = min(size, mode + half)
+        total = left = right = 0.0
+        if lo <= hi:
+            pmf = _poisson_window(x, lo, hi, min(max(mode, lo), hi))
+            total = float(pmf @ cdf[lo - 1:hi])
+            if lo > 1:
+                # Q(lo, x) <= Pois(lo-1; x) / (1 - (lo-1)/x), as lo - 1 < x
+                left = cdf[lo - 2] * pmf[0] * lo / (x - (lo - 1))
+        else:
+            left = cdf[-1] * float(gammaincc(lo, x))
+        if hi == size:
+            total += cdf[-1] * float(gammainc(size + 1, x))
+        else:
+            # P(hi+1, x) <= Pois(hi+1; x) / (1 - x/(hi+2)), as hi + 1 > x
+            right = pmf[-1] * x / (hi + 1) / (1.0 - x / (hi + 2))
+        if left + right <= 1e-17 * total:
+            return min(total, 1.0)
+        half *= 2
 
 
-# a curve needs one (n, w); each entry may hold two 8 MB arrays
+# a curve needs one (n, w); each entry may hold one 8 MB array
 @functools.lru_cache(maxsize=4)
-def _negative_binomial_weights(n, w):
-    """(k + 1, NB(k; n, w/(1+w))) over the k-grid of
-    `marcum_complement_gamma_average`, as shared read-only arrays."""
+def _negative_binomial_cdf(n, w):
+    """C_k = sum_{i<=k} NB(i; n, w/(1+w)) over the k-grid of
+    `marcum_complement_gamma_average`, as a shared read-only array.
+
+    The weights are formed in log space, whose rounding leaves their sum
+    a few ulps off; the grid leaves out at most ~1e-16 of the weight, so
+    C is divided by its last entry, and S(x) reaches exactly 1 as x grows.
+    """
     rate = w * float(gammainccinv(n, 1e-16))
     kmax = rate + 14.0 * math.sqrt(rate) + 60.0
     if not kmax < _MAX_SERIES_TERMS:
@@ -194,10 +239,58 @@ def _negative_binomial_weights(n, w):
     k = np.arange(int(kmax) + 1, dtype=np.float64)
     log_nb = (gammaln(n + k) - gammaln(k + 1.0) - math.lgamma(n)
               - n * math.log1p(w) - k * math.log1p(1.0 / w))
-    orders, weights = k + 1.0, np.exp(log_nb)
-    orders.flags.writeable = False
-    weights.flags.writeable = False
-    return orders, weights
+    cdf = np.cumsum(np.exp(log_nb))
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def _stirlerr(j):
+    """log j! - log(sqrt(2 pi j) (j/e)^j) for integer j >= 1."""
+    if j < len(_STIRLERR):
+        return _STIRLERR[j]
+    jj = float(j) * j
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / jj) / jj) / jj) / jj) / j
+
+
+def _bd0(j, lam):
+    """j log(j/lam) + lam - j for j >= 1, lam > 0, by its series
+    2 j v^3/3 + 2 j v^5/5 + ... (v = (j-lam)/(j+lam)) near j = lam."""
+    if abs(j - lam) >= 0.1 * (j + lam):
+        return j * math.log(j / lam) + lam - j
+    v = (j - lam) / (j + lam)
+    total = (j - lam) * v
+    term = 2.0 * j * v
+    v *= v
+    odd = 1
+    while True:
+        odd += 2
+        term *= v
+        nxt = total + term / odd
+        if nxt == total:
+            return total
+        total = nxt
+
+
+def _poisson_window(lam, lo, hi, anchor):
+    """[Pois(j; lam) for lo <= j <= hi], 1 <= lo <= anchor <= hi.
+
+    Pois(anchor; lam) is taken in saddle-point form,
+    exp(-stirlerr(j) - bd0(j, lam)) / sqrt(2 pi j) (Loader 2000), which
+    does not cancel the way exp(j log lam - lam - log j!) does. The rest
+    follows by the ratios lam/j to the right and j/lam to the left, as two
+    cumulative products. With the anchor at the mode, or at the window's
+    edge nearest to it, every ratio is at most 1, so nothing overflows.
+    """
+    j = np.arange(lo, hi + 1, dtype=np.float64)
+    pmf = lam / j
+    s = anchor - lo
+    pmf[:s] = (j[:s] + 1.0) / lam
+    pmf[s] = (math.exp(-_stirlerr(anchor) - _bd0(anchor, lam))
+              / math.sqrt(2.0 * math.pi * anchor))
+    np.cumprod(pmf[s:], out=pmf[s:])
+    np.cumprod(pmf[s::-1], out=pmf[s::-1])
+    return pmf
 
 
 def _kummer_poly(a, x):
@@ -276,6 +369,10 @@ def gamma_expectation_rule(shape):
 
 @functools.lru_cache(maxsize=None)
 def _gamma_rule(shape):
+    # imported on first use: only the derived-mode joint law needs it, and
+    # the import costs tens of milliseconds
+    from scipy.linalg import eigh_tridiagonal
+
     k = np.arange(48, dtype=np.float64)
     nodes, vecs = eigh_tridiagonal(2.0 * k + shape, np.sqrt(k[1:] * (k[1:] + shape - 1)))
     weights = vecs[0] ** 2

@@ -576,13 +576,20 @@ def test_ris_law_at_small_rates_completes(tmp_path):
                for row in rows)
 
 
-def test_cli_run_does_not_import_scipy_integrate(tmp_path):
-    # scipy.integrate costs a few tenths of a second to import, and only the
-    # tests' quadrature oracles use it
+def _run_fresh_interpreter(tmp_path, code):
+    """Run ``code`` in a new interpreter that imports rismimo from this tree."""
     src = str(Path(rismimo.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_run_does_not_import_scipy_integrate(tmp_path):
+    # scipy.integrate costs a few tenths of a second to import, and only the
+    # tests' quadrature oracles use it
+    _run_fresh_interpreter(tmp_path, (
         "import sys\n"
         "import rismimo.cli\n"
         "assert 'scipy.integrate' not in sys.modules, 'at import'\n"
@@ -590,7 +597,20 @@ def test_cli_run_does_not_import_scipy_integrate(tmp_path):
         "                           '--output', 'run.csv'])\n"
         "assert status == 0, status\n"
         "assert 'scipy.integrate' not in sys.modules, 'after a run'\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    ))
+
+
+def test_paper_mode_run_does_not_import_scipy_linalg(tmp_path):
+    # only the derived-mode joint law's Gauss-Laguerre rule needs
+    # scipy.linalg, so a paper-mode run never pays for its import
+    _run_fresh_interpreter(tmp_path, (
+        "import sys\n"
+        "import rismimo.cli\n"
+        "assert 'scipy.linalg' not in sys.modules, 'at import'\n"
+        "for method in ('quadrature', 'printed'):\n"
+        "    status = rismimo.cli.main(['--preset', 'fig1', '--scale-mode', 'paper',\n"
+        "                               '--joint-method', method, '--trials', '256',\n"
+        "                               '--output', 'run.csv'])\n"
+        "    assert status == 0, status\n"
+        "assert 'scipy.linalg' not in sys.modules, 'after a run'\n"
+    ))

@@ -16,6 +16,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from rismimo import specfun
+from rismimo.analytic import law_argument
+from rismimo.channel import SCALE_PAPER, clt_psi2
+from rismimo.detectors import Scheme, threshold_from_rate
 from rismimo.errors import ConfigurationError, NumericError
 from rismimo.specfun import (
     QuadratureSpec,
@@ -29,6 +33,8 @@ from rismimo.specfun import (
     regularized_lower_gamma,
     regularized_upper_gamma,
 )
+
+from helpers import cli_manifest
 
 
 # --- regularized incomplete gamma ------------------------------------------
@@ -185,6 +191,73 @@ def test_gamma_averaged_marcum_grid_cap_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _negative_binomial_series(n, w, x, digits=40):
+    """sum_k NB(k; n, w/(1+w)) P(k+1, x) in mpmath at `digits` digits.
+
+    Past the negative-binomial mode the terms fall by at least the ratio
+    r = (n+k) p/(k+1) < 1 of the weights, so once term * r/(1-r) is below
+    1e-45 of the sum, what is left is too.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(digits):
+        n, w, x = mpmath.mpf(n), mpmath.mpf(w), mpmath.mpf(x)
+        p = w / (1 + w)
+        weight = (1 - p) ** n
+        total = mpmath.mpf(0)
+        k = 0
+        while True:
+            term = weight * mpmath.gammainc(k + 1, 0, x, regularized=True)
+            total += term
+            r = (n + k) / (k + 1) * p
+            if r < 1 and term * r / (1 - r) < total * mpmath.mpf(10) ** -45:
+                return total
+            weight *= r
+            k += 1
+
+
+def test_gamma_averaged_marcum_against_mpmath_series():
+    # the paper-mode operating points of fig1 (n = 21, w = 16) and fig2
+    # (n = 19), the Rayleigh case n = 1, a small shape and a deep tail
+    points = [(21, 16.0, x) for x in (11.2, 112.0, 354.0, 1100.0, 1e-12)]
+    points += [(19, 22.857142857142858, 6.7), (19, 22.857142857142858, 500.0),
+               (1, 25.0, 400.0), (5, 16.0, 40.0)]
+    for n, w, x in points:
+        want = float(_negative_binomial_series(n, w, x))
+        got = marcum_complement_gamma_average(n, w, x)
+        assert abs(got - want) <= 5e-14 * want, (n, w, x, got, want)
+        assert marcum_complement_gamma_average(n, w, 1e10) == 1.0, (n, w)
+
+
+def _paper_joint_grid_points(*argv):
+    """(n, w, x) of the paper-mode joint law at every stream and grid
+    point of a CLI run."""
+    manifest = cli_manifest(*argv, "--scale-mode", "paper")
+    cfg = manifest.config
+    _, tx_snr, rate = manifest.sweep.points()
+    psi2 = clt_psi2(cfg, SCALE_PAPER)
+    for i in range(cfg.streams):
+        n, w = cfg.rx_antennas - i, cfg.gain_direct[i] / psi2[i]
+        xs = law_argument(Scheme.Joint, cfg, i, threshold_from_rate(rate), tx_snr,
+                          mode=SCALE_PAPER)
+        yield from ((n, w, x) for x in xs.tolist())
+
+
+def test_gamma_averaged_marcum_window_loses_nothing_on_figure_grids():
+    # the windowed sum against the same resummation over all j = 1..K,
+    # sum_j Pois(j; x) C_{j-1} + C_{K-1} P(K+1, x)
+    checked = 0
+    for argv in (("--preset", "fig1"), ("--preset", "fig2")):
+        for n, w, x in _paper_joint_grid_points(*argv):
+            cdf = specfun._negative_binomial_cdf(n, w)
+            size = len(cdf)
+            pmf = specfun._poisson_window(x, 1, size, min(max(int(x), 1), size))
+            want = float(pmf @ cdf) + cdf[-1] * float(special.gammainc(size + 1, x))
+            got = marcum_complement_gamma_average(n, w, x)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), (argv, n, w, x)
+            checked += 1
+    assert checked == 12 * 21 + 14 * 12
 
 
 # --- Kummer 1F1(a; 2; x) ------------------------------------------------------
