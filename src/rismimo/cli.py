@@ -279,7 +279,7 @@ def manifest_items(manifest):
     if sweep.variable == "snr_db":
         items.insert(5, ("rate_fixed_bps_hz", format(sweep.fixed, ".17g")))
     else:
-        items.insert(5, ("snr_db_fixed", format(sweep.points()[0][0], ".17g")))
+        items.insert(5, ("snr_db_fixed", format(sweep.snr_db[0], ".17g")))
     return items
 
 

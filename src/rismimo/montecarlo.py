@@ -65,7 +65,15 @@ class OutageEstimate:
 
 @dataclasses.dataclass(frozen=True)
 class SweepSpec:
-    """Operating points: a grid of one variable, the other held at fixed."""
+    """Operating points: a grid of one variable, the other held at fixed.
+
+    ``fixed`` is the rate in bit/s/Hz of an "snr_db" sweep, or the transmit
+    SNR in dB of a "rate" sweep. Construction forms every point's
+    quantities once, in grid order, and checks each by the rule of what it
+    stands for: ``snr_db`` (a dB value as given), ``tx_snr`` (its linear
+    power), ``rate`` and ``gamma_th`` (its threshold 2^rate - 1). Each is a
+    tuple with one float per grid point.
+    """
 
     variable: str
     values: tuple
@@ -85,20 +93,16 @@ class SweepSpec:
             raise ConfigurationError("sweep values must be strictly increasing")
         fixed = float(self.fixed)
         snr_db, rate = (vals, [fixed]) if self.variable == "snr_db" else ([fixed], vals)
-        check_positive(rate, "rate")
-        check_positive([db_to_power(v) for v in snr_db], "tx_snr")
+        gamma_th = [threshold_from_rate(r) for r in rate]
+        tx_snr = [check_positive(db_to_power(v), "tx_snr") for v in snr_db]
+        if self.variable == "rate":
+            snr_db = [10.0 * math.log10(tx_snr[0])]
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "fixed", fixed)
-
-    def points(self):
-        """(snr_db, tx_snr, rate), one list entry per grid point. A rate
-        sweep's snr_db is 10 log10 of the power its fixed dB value stands
-        for, which may differ from that value in the last bit."""
-        n = len(self.values)
-        if self.variable == "snr_db":
-            return list(self.values), [db_to_power(v) for v in self.values], [self.fixed] * n
-        p = db_to_power(self.fixed)
-        return [10.0 * math.log10(p)] * n, [p] * n, list(self.values)
+        # the value held fixed stands at every point
+        for name, column in (("snr_db", snr_db), ("tx_snr", tx_snr),
+                             ("rate", rate), ("gamma_th", gamma_th)):
+            object.__setattr__(self, name, tuple(column) * (len(vals) // len(column)))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -315,15 +319,16 @@ def db_to_power(db):
         raise ConfigurationError(f"{db} dB overflows a float power") from None
 
 
-def _refuse_overflow(grids, rate, snr_db, what):
-    """ConfigurationError at the first grid point where a scheme's entry of
-    ``grids`` ({scheme: array}) is not finite, naming every such scheme."""
+def _refuse_overflow(grids, sweep, what):
+    """ConfigurationError at the first point of ``sweep`` where a scheme's
+    entry of ``grids`` ({scheme: array}) is not finite, naming every such
+    scheme."""
     finite = np.logical_and.reduce([np.isfinite(v) for v in grids.values()])
     if not finite.all():
         j = int(np.argmin(finite))
         names = ", ".join(s.value for s, v in grids.items() if not np.isfinite(v[j]))
         raise ConfigurationError(
-            f"rate {rate[j]} at {snr_db[j]} dB overflows {what} of {names}"
+            f"rate {sweep.rate[j]} at {sweep.snr_db[j]} dB overflows {what} of {names}"
         )
 
 
@@ -355,18 +360,15 @@ def run_sweep(
     workers = check_count(workers, "workers")
     streams = resolve_streams(cfg, schemes, stream)
 
-    snr_db, tx_snr, rate = sweep.points()
-    gamma_th = [threshold_from_rate(r) for r in rate]
-    p, g = np.array(tx_snr, dtype=np.float64), np.array(gamma_th)
-
+    p, g = np.array(sweep.tx_snr), np.array(sweep.gamma_th)
     # Every threshold and law argument, then the laws, so an overflow or a
     # failing law stops the run before the Monte Carlo work instead of
     # after it.
     thresholds = {s: threshold_at_unit_snr(s, cfg, p, g) for s in schemes}
-    _refuse_overflow(thresholds, rate, snr_db, "the outage threshold")
+    _refuse_overflow(thresholds, sweep, "the outage threshold")
     arguments = {s: analytic.law_argument(s, cfg, streams[s], g, tx_snr=p, mode=scale_mode)
                  for s in schemes}
-    _refuse_overflow(arguments, rate, snr_db, "the law argument")
+    _refuse_overflow(arguments, sweep, "the law argument")
     laws = {
         s: analytic_outage(s, cfg, streams[s], g, p, scale_mode=scale_mode,
                            joint_method=joint_method).tolist()
@@ -379,10 +381,10 @@ def run_sweep(
               for s in schemes}
     return tuple(
         CurvePoint(
-            sweep_value=float(value),
-            snr_db=snr_db[j],
-            rate=rate[j],
-            gamma_th=gamma_th[j],
+            sweep_value=value,
+            snr_db=sweep.snr_db[j],
+            rate=sweep.rate[j],
+            gamma_th=sweep.gamma_th[j],
             analytic={s: laws[s][j] for s in schemes},
             empirical={s: _estimate_from_count(counts[s][j], valid) for s in schemes},
         )

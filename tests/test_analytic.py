@@ -184,9 +184,7 @@ def _joint_paper_by_quadrature(cfg, i, gamma_th, p):
 
 def _figure_points(manifest):
     """(tx_snr, gamma_th) at every grid point of a figure preset."""
-    _, tx_snr, rate = manifest.sweep.points()
-    for p, r in zip(tx_snr, rate):
-        yield p, threshold_from_rate(r)
+    yield from zip(manifest.sweep.tx_snr, manifest.sweep.gamma_th)
 
 
 def test_joint_paper_series_matches_quadrature_on_figure_grids():

@@ -61,7 +61,7 @@ def test_preset_rate_sweep_structure():
     assert np.allclose(cfg.gain_tx_ris, 0.7)
     assert np.allclose(cfg.gain_direct, 0.7)
     assert man.sweep.fixed == 3.0  # the transmit SNR in dB held fixed
-    assert man.sweep.points()[1] == [pytest.approx(10.0**0.3)] * 12
+    assert man.sweep.tx_snr == (pytest.approx(10.0**0.3),) * 12
     assert man.sweep.variable == "rate"
     assert man.sweep.values == tuple(np.arange(1, 13) * 0.5)
     assert man.schemes == tuple(Scheme)

@@ -19,7 +19,7 @@ from scipy import integrate, special, stats
 from rismimo import specfun
 from rismimo.analytic import law_argument
 from rismimo.channel import SCALE_PAPER, clt_psi2
-from rismimo.detectors import Scheme, threshold_from_rate
+from rismimo.detectors import Scheme
 from rismimo.errors import ConfigurationError, NumericError
 from rismimo.specfun import (
     QuadratureSpec,
@@ -235,11 +235,11 @@ def _paper_joint_grid_points(*argv):
     point of a CLI run."""
     manifest = cli_manifest(*argv, "--scale-mode", "paper")
     cfg = manifest.config
-    _, tx_snr, rate = manifest.sweep.points()
+    sweep = manifest.sweep
     psi2 = clt_psi2(cfg, SCALE_PAPER)
     for i in range(cfg.streams):
         n, w = cfg.rx_antennas - i, cfg.gain_direct[i] / psi2[i]
-        xs = law_argument(Scheme.Joint, cfg, i, threshold_from_rate(rate), tx_snr,
+        xs = law_argument(Scheme.Joint, cfg, i, sweep.gamma_th, sweep.tx_snr,
                           mode=SCALE_PAPER)
         yield from ((n, w, x) for x in xs.tolist())
 
