@@ -275,11 +275,8 @@ def manifest_items(manifest):
         ("format", manifest.fmt),
         ("output", manifest.output),
     ]
-    sweep = manifest.sweep
-    if sweep.variable == "snr_db":
-        items.insert(5, ("rate_fixed_bps_hz", format(sweep.fixed, ".17g")))
-    else:
-        items.insert(5, ("snr_db_fixed", format(sweep.snr_db[0], ".17g")))
+    key = "rate_fixed_bps_hz" if manifest.sweep.variable == "snr_db" else "snr_db_fixed"
+    items.insert(5, (key, format(manifest.sweep.fixed, ".17g")))
     return items
 
 

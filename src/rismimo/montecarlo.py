@@ -18,9 +18,9 @@ joint schemes, and equals p*z/(p*c+1) with a power-free z for the two
 interference-floor schemes).  The engine therefore samples SNRs once at
 unit transmit power and counts against the inverse-mapped threshold;
 the counted event is identical per trial, and a whole power sweep costs
-one sample collection.  The operating points come from a `SweepSpec`:
-its grid and its value held fixed, the rate in bit/s/Hz of an "snr_db"
-sweep or the transmit SNR in dB of a "rate" sweep.
+one sample collection.  The operating points are a `SweepSpec`'s, and it
+alone converts them: it forms each point's dB value, transmit power, rate
+and threshold once, and `run_sweep` reads them.
 """
 
 import dataclasses
@@ -70,9 +70,10 @@ class SweepSpec:
     ``fixed`` is the rate in bit/s/Hz of an "snr_db" sweep, or the transmit
     SNR in dB of a "rate" sweep. Construction forms every point's
     quantities once, in grid order, and checks each by the rule of what it
-    stands for: ``snr_db`` (a dB value as given), ``tx_snr`` (its linear
+    stands for: ``snr_db`` (the dB value as given), ``tx_snr`` (its linear
     power), ``rate`` and ``gamma_th`` (its threshold 2^rate - 1). Each is a
-    tuple with one float per grid point.
+    read-only tuple with one float per grid point, the fixed value
+    repeated at every point.
     """
 
     variable: str
@@ -95,11 +96,8 @@ class SweepSpec:
         snr_db, rate = (vals, [fixed]) if self.variable == "snr_db" else ([fixed], vals)
         gamma_th = [threshold_from_rate(r) for r in rate]
         tx_snr = [check_positive(db_to_power(v), "tx_snr") for v in snr_db]
-        if self.variable == "rate":
-            snr_db = [10.0 * math.log10(tx_snr[0])]
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "fixed", fixed)
-        # the value held fixed stands at every point
         for name, column in (("snr_db", snr_db), ("tx_snr", tx_snr),
                              ("rate", rate), ("gamma_th", gamma_th)):
             object.__setattr__(self, name, tuple(column) * (len(vals) // len(column)))

@@ -12,8 +12,11 @@ moved to one evaluation per curve and held across that change. Both
 digests of the paper-scale quadrature run were re-pinned, for that one
 cause, when its Marcum average moved to the swapped sum over a Poisson
 window: its 21 joint analytic cells moved in the last digits, and every
-other cell of the seven runs kept its bytes. SHA256 covers the whole
-file.
+other cell of the seven runs kept its bytes. Both digests of the rate
+sweep were re-pinned, for that one cause, when a rate sweep began to echo
+its fixed SNR as given: its snr_db_fixed line and its 48 snr_db cells
+moved from 2.9999999999999991 to 3, and every other cell of the seven
+runs kept its bytes. SHA256 covers the whole file.
 
 The digests were taken with numpy 2.4.6 and its bundled LAPACK. The
 ziggurat normals are numpy's `Generator.standard_normal`, which another
@@ -63,7 +66,7 @@ LAWS = {
     "golden_fig1.csv":
         "d3e23705a52a2a22049818e58c6af8596d9af6f5ceae89faae25f04d00341a50",
     "golden_rate_32_14_16.csv":
-        "8eca700c45805f38aea4277b80d7af6885910edc0fef316401c22a6ecfcef386",
+        "dfefa778f0863f0f0965736e1ada41d1ea16d4954d8ebd4d2972e2a3fc3f8a06",
     "golden_fig1_paper_quadrature.csv":
         "4cb3202ae4ee1cc191e48766e21ef4dd9993775e34c3191bc41bd6a7847ac822",
     "golden_fig1_paper_printed.csv":
@@ -80,7 +83,7 @@ SHA256 = {
     "golden_fig1.csv":
         "fa7ed1b2fea5269df4d915928a3d61e688942e79b905e532ac18a3a13775c63d",
     "golden_rate_32_14_16.csv":
-        "4eda811d77cae4b1eddbf284f19fe88ffe14cc498f0e8ea5b05fb87d7ed5ea4d",
+        "a0be3d2c14febb6be4abb090b175938c2a42e344bfa4e580846e468f0fd5e4e7",
     "golden_fig1_paper_quadrature.csv":
         "9e18cd2273c0508b6d516384eef9c647174d8bbc8b16661b582a4d5c4f73788d",
     "golden_fig1_paper_printed.csv":

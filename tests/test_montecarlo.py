@@ -235,6 +235,11 @@ def test_sweep_spec_checks_its_fixed_value():
         SweepSpec("snr_db", (-4000.0, 0.0), 3.0)
     with pytest.raises(ConfigurationError, match="4000.0 dB overflows a float power"):
         SweepSpec("snr_db", (0.0, 4000.0), 3.0)
+    # and a rate whose threshold 2^rate - 1 overflows, fixed or in the grid
+    for sweep in (("snr_db", (0.0,), 1100.0), ("rate", (1.0, 1100.0), 3.0)):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("rate 1100.0 overflows a float threshold")):
+            SweepSpec(*sweep)
 
 
 def test_single_point_sweep_reduces_to_estimate():
