@@ -306,12 +306,11 @@ def write_json(path, manifest, rows):
         fh.write("\n")
 
 
-def _print_summary(manifest, points, out=None):
-    out = out if out is not None else sys.stdout
+def _print_summary(manifest, points):
     head = f"{manifest.sweep.variable:>10}"
     for s in manifest.schemes:
         head += f"  {s.value + ':analytic':>14}  {s.value + ':mc':>10}"
-    print(head, file=out)
+    print(head)
     for point in points:
         line = f"{point.sweep_value:>10.3g}"
         for s in manifest.schemes:
@@ -319,49 +318,37 @@ def _print_summary(manifest, points, out=None):
                 f"  {point.analytic[s]:>14.4e}"
                 f"  {point.empirical[s].probability:>10.4e}"
             )
-        print(line, file=out)
+        print(line)
 
 
 def run(manifest):
     """Execute a manifest: sweep, write the output file, print a summary.
 
-    Returns a process exit status (0 ok, 2 configuration, 3 numerics,
-    4 file I/O); a missing or read-only output directory, or an output
-    path that is a directory, fails before the sweep."""
-    try:
-        folder = os.path.dirname(os.path.abspath(manifest.output))
-        if os.path.isdir(manifest.output):
-            raise IsADirectoryError(f"output path is a directory: {manifest.output}")
-        if not os.access(folder, os.W_OK):
-            raise OSError(f"output directory missing or not writable: {folder}")
-        points = run_sweep(
-            manifest.config,
-            manifest.sweep,
-            manifest.schemes,
-            manifest.trials,
-            SeedSpec(manifest.master_seed),
-            stream=manifest.stream,
-            workers=manifest.workers,
-            scale_mode=manifest.scale_mode,
-            joint_method=manifest.joint_method,
-        )
-        rows = curve_rows(manifest, points)
-        if manifest.fmt == "csv":
-            write_csv(manifest.output, manifest, rows)
-        else:
-            write_json(manifest.output, manifest, rows)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericError, NumericalRankError) as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    A missing or read-only output directory, or an output path that is a
+    directory, raises OSError before the sweep."""
+    folder = os.path.dirname(os.path.abspath(manifest.output))
+    if os.path.isdir(manifest.output):
+        raise IsADirectoryError(f"output path is a directory: {manifest.output}")
+    if not os.access(folder, os.W_OK):
+        raise OSError(f"output directory missing or not writable: {folder}")
+    points = run_sweep(
+        manifest.config,
+        manifest.sweep,
+        manifest.schemes,
+        manifest.trials,
+        SeedSpec(manifest.master_seed),
+        stream=manifest.stream,
+        workers=manifest.workers,
+        scale_mode=manifest.scale_mode,
+        joint_method=manifest.joint_method,
+    )
+    rows = curve_rows(manifest, points)
+    if manifest.fmt == "csv":
+        write_csv(manifest.output, manifest, rows)
+    else:
+        write_json(manifest.output, manifest, rows)
     _print_summary(manifest, points)
     print(f"wrote {manifest.output}")
-    return EXIT_OK
 
 
 def _flag_type(convert):
@@ -399,7 +386,9 @@ def _build_parser():
 
 
 def _read_config_file(path):
-    """Flag values from a key=value file, each checked by its flag's converter."""
+    """Flag values from a key=value file, each checked by its flag's converter.
+    A line whose first non-blank character is '#' is a comment; a '#'
+    anywhere else is refused rather than cutting the value short."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -407,10 +396,12 @@ def _read_config_file(path):
         raise ConfigurationError(f"{path}: not UTF-8 text") from None
     out = {}
     for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         where = f"{path}:{lineno}"
+        if "#" in line:
+            raise ConfigurationError(f"{where}: '#' after a value; comments take whole lines")
         if "=" not in line:
             raise ConfigurationError(f"{where}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
@@ -476,6 +467,8 @@ def build_manifest(ns, file_values):
 
 
 def main(argv=None):
+    """Run the command line; returns a process exit status (0 ok,
+    2 configuration, 3 numerics, 4 file I/O)."""
     try:
         ns = _build_parser().parse_args(argv)
         file_values = _read_config_file(ns.config) if ns.config else {}
@@ -490,14 +483,18 @@ def main(argv=None):
                 f"streams={cfg.streams}, ris_elements={cfg.ris_elements}): "
                 f"every link {full} channel uses, direct link only {direct}"
             )
-            return EXIT_OK
+        else:
+            run(manifest)
     except (ConfigurationError, argparse.ArgumentError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (NumericError, NumericalRankError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return run(manifest)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

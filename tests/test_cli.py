@@ -17,6 +17,7 @@ from rismimo.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     main,
     parse_gains,
@@ -25,7 +26,7 @@ from rismimo.cli import (
     pilot_overhead_counts,
 )
 from rismimo.detectors import Scheme
-from rismimo.errors import ConfigurationError
+from rismimo.errors import ConfigurationError, NumericalRankError, NumericError
 
 from helpers import cli_manifest
 
@@ -400,6 +401,20 @@ def test_seed_beyond_float_precision_is_kept_exactly(tmp_path):
     assert "# seed = 9007199254740993" in out.read_text().split("\n")
 
 
+def test_numeric_failure_exits_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    for error in (NumericError("quadrature did not converge"),
+                  NumericalRankError("2 of 1500 trials hit a rank failure")):
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        status, out = _run_small(tmp_path, "numeric.csv")
+        assert status == EXIT_NUMERIC, error
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"numeric error: {error}\n", err
+
+
 def test_exit_code_for_unwritable_output(tmp_path, capsys):
     status, _ = _run_small(tmp_path, "ignored.csv",
                            ("--output", str(tmp_path / "no" / "dir" / "x.csv")))
@@ -471,6 +486,14 @@ def test_config_file_rejects_unknown_and_nested_keys(tmp_path, capsys):
     assert main(["--config", str(binary)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err == f"configuration error: {binary}: not UTF-8 text\n", err
+    # a '#' after a value is refused, not taken as the start of a comment
+    hashed = tmp_path / "hashed.conf"
+    hashed.write_text("n = 6\nm = 2\nl = 2\ntrials = 100\n  # an indented comment\n"
+                      f"output = {tmp_path / 'run#1.csv'}\n")
+    assert main(["--config", str(hashed)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {hashed}:6: '#' after a value"), err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "run#1.csv").exists()
 
 
 def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
