@@ -19,6 +19,8 @@ once per call, and the rest is elementwise arithmetic and one scalar
 one-point call.
 """
 
+import functools
+
 import numpy as np
 from scipy.special import betainc, gammainc
 
@@ -58,18 +60,37 @@ def _shaped(values, scalar):
     return float(values[0]) if scalar else values
 
 
-def _argument(scheme, cfg, i, p, g, mode):
-    """See `law_argument`; p and g are the arrays of `_grid`."""
+def _evaluate(kernel, scheme, cfg, i, gamma_th, tx_snr, mode=None):
+    """``kernel`` at each point of ``scheme``'s law argument over the grid of
+    `_grid`, as a float or an array to match; with no kernel, the argument
+    itself as a 1-D array. An overflowing argument is inf, without a
+    warning."""
+    i = check_stream(cfg, i)
+    p, g, scalar = _grid(gamma_th, tx_snr)
     with np.errstate(over="ignore", divide="ignore"):
         if scheme is Scheme.DirectCsi:
-            noise = interference_power(cfg, scheme, p) + 1.0
-            return g * noise / (p * cfg.gain_direct[i])
-        if scheme is Scheme.RisCsi:
-            return _ris_kappa(cfg, i, p) * g
-        psi2 = clt_psi2(cfg, mode)[i]
-        if scheme is Scheme.FullCsi:
-            return g / (p * (cfg.gain_direct[i] + psi2))
-        return g / (p * psi2)
+            x = g * (interference_power(cfg, scheme, p) + 1.0) / (p * cfg.gain_direct[i])
+        elif scheme is Scheme.RisCsi:
+            x = _ris_kappa(cfg, i, p) * g
+        elif scheme is Scheme.FullCsi:
+            x = g / (p * (cfg.gain_direct[i] + clt_psi2(cfg, mode)[i]))
+        else:
+            x = g / (p * clt_psi2(cfg, mode)[i])
+    if kernel is None:
+        return x
+    return _shaped([kernel(a) for a in x.tolist()], scalar)
+
+
+def _zf_gamma(cfg):
+    """The ZF gamma CDF P(N-M+1, .) of DirectCsi and FullCsi."""
+    return functools.partial(regularized_lower_gamma, cfg.rx_antennas - cfg.streams + 1)
+
+
+def _product_gamma(cfg):
+    """RisCsi's product-gamma CDF, of shapes N-M+1 and L-M+1; needs L >= M."""
+    check_cascade_rank(cfg)
+    n1 = cfg.rx_antennas - cfg.streams + 1
+    return functools.partial(product_gamma_cdf, n1, cfg.ris_elements - cfg.streams + 1)
 
 
 def law_argument(scheme, cfg, i, gamma_th, tx_snr, mode=DEFAULT_SCALE_MODE):
@@ -78,9 +99,23 @@ def law_argument(scheme, cfg, i, gamma_th, tx_snr, mode=DEFAULT_SCALE_MODE):
     x = gamma_th / (p psi2_i) of Joint. An overflow gives inf, without a
     warning; `montecarlo.run_sweep` refuses such a point before any law
     runs."""
-    i = check_stream(cfg, i)
-    p, g, _ = _grid(gamma_th, tx_snr)
-    return _argument(Scheme(scheme), cfg, i, p, g, mode)
+    return _evaluate(None, Scheme(scheme), cfg, i, gamma_th, tx_snr, mode)
+
+
+def outage(scheme, cfg, i, gamma_th, tx_snr, mode=DEFAULT_SCALE_MODE,
+           method=DEFAULT_JOINT_METHOD):
+    """Closed-form outage of one scheme on stream i, over a grid when
+    gamma_th or tx_snr is one: the one place a scheme picks its law. The
+    laws are looked up on this module at each call, so a law replaced
+    here is the one a sweep runs."""
+    scheme = Scheme(scheme)
+    if scheme is Scheme.DirectCsi:
+        return outage_direct(cfg, i, gamma_th, tx_snr)
+    if scheme is Scheme.RisCsi:
+        return outage_ris(cfg, i, gamma_th, tx_snr)
+    if scheme is Scheme.FullCsi:
+        return outage_full_clt(cfg, i, gamma_th, tx_snr, mode=mode)
+    return outage_joint(cfg, i, gamma_th, tx_snr, mode=mode, method=method)
 
 
 def outage_direct(cfg, i, gamma_th, tx_snr):
@@ -89,11 +124,7 @@ def outage_direct(cfg, i, gamma_th, tx_snr):
     n = N - M + 1 and S_G = sum_k xi2_G,k; exact for Rayleigh links because
     1/(xi2_D,i [(H_d^H H_d)^{-1}]_{ii}) is Gamma(n) distributed.
     """
-    i = check_stream(cfg, i)
-    p, g, scalar = _grid(gamma_th, tx_snr)
-    shape = cfg.rx_antennas - cfg.streams + 1
-    x = _argument(Scheme.DirectCsi, cfg, i, p, g, None)
-    return _shaped([regularized_lower_gamma(shape, a) for a in x.tolist()], scalar)
+    return _evaluate(_zf_gamma(cfg), Scheme.DirectCsi, cfg, i, gamma_th, tx_snr)
 
 
 def outage_direct_limit(cfg, i, gamma_th):
@@ -101,8 +132,7 @@ def outage_direct_limit(cfg, i, gamma_th):
     i = check_stream(cfg, i)
     g = check_nonnegative(gamma_th, "gamma_th")
     scale = interference_power(cfg, Scheme.DirectCsi)
-    shape = cfg.rx_antennas - cfg.streams + 1
-    return regularized_lower_gamma(shape, g * scale / cfg.gain_direct[i])
+    return _zf_gamma(cfg)(g * scale / cfg.gain_direct[i])
 
 
 def _ris_kappa(cfg, i, p=None):
@@ -123,23 +153,14 @@ def outage_ris(cfg, i, gamma_th, tx_snr):
     kappa = (p sum_k xi2_D,k + 1)/(p xi2_H xi2_G,i), for every N >= M and
     L >= M.
     """
-    i = check_stream(cfg, i)
-    check_cascade_rank(cfg)
-    p, g, scalar = _grid(gamma_th, tx_snr)
-    n1 = cfg.rx_antennas - cfg.streams + 1
-    n2 = cfg.ris_elements - cfg.streams + 1
-    z = _argument(Scheme.RisCsi, cfg, i, p, g, None)
-    return _shaped([product_gamma_cdf(n1, n2, a) for a in z.tolist()], scalar)
+    return _evaluate(_product_gamma(cfg), Scheme.RisCsi, cfg, i, gamma_th, tx_snr)
 
 
 def outage_ris_limit(cfg, i, gamma_th):
     """p -> inf limit of outage_ris (the outage floor)."""
     i = check_stream(cfg, i)
-    check_cascade_rank(cfg)
-    g = check_nonnegative(gamma_th, "gamma_th")
-    n1 = cfg.rx_antennas - cfg.streams + 1
-    n2 = cfg.ris_elements - cfg.streams + 1
-    return product_gamma_cdf(n1, n2, _ris_kappa(cfg, i) * g)
+    kernel = _product_gamma(cfg)
+    return kernel(_ris_kappa(cfg, i) * check_nonnegative(gamma_th, "gamma_th"))
 
 
 def outage_full_clt(cfg, i, gamma_th, tx_snr, mode=DEFAULT_SCALE_MODE):
@@ -149,11 +170,7 @@ def outage_full_clt(cfg, i, gamma_th, tx_snr, mode=DEFAULT_SCALE_MODE):
     gives P(out) = P(N-M+1, gamma_th / (p (xi2_D,i + psi2_i))). No floor:
     the argument vanishes as p grows.
     """
-    i = check_stream(cfg, i)
-    p, g, scalar = _grid(gamma_th, tx_snr)
-    shape = cfg.rx_antennas - cfg.streams + 1
-    x = _argument(Scheme.FullCsi, cfg, i, p, g, mode)
-    return _shaped([regularized_lower_gamma(shape, a) for a in x.tolist()], scalar)
+    return _evaluate(_zf_gamma(cfg), Scheme.FullCsi, cfg, i, gamma_th, tx_snr, mode)
 
 
 def outage_joint(
@@ -188,7 +205,6 @@ def outage_joint(
     mode="paper".
     """
     i = check_stream(cfg, i)
-    p, g, scalar = _grid(gamma_th, tx_snr)
     if method not in JOINT_METHODS:
         raise ConfigurationError(
             f"joint method must be one of {JOINT_METHODS}, got {method!r}"
@@ -199,12 +215,12 @@ def outage_joint(
             "the printed joint closed form embeds the paper cascade "
             "scaling; use mode='paper' with it or method='quadrature'"
         )
+    if mode == SCALE_PAPER and method == JOINT_QUADRATURE:
+        kernel = functools.partial(marcum_complement_gamma_average, cfg.rx_antennas - i,
+                                   cfg.gain_direct[i] / psi2)
+        return _evaluate(kernel, Scheme.Joint, cfg, i, gamma_th, tx_snr, mode)
+    p, g, scalar = _grid(gamma_th, tx_snr)
     if mode == SCALE_PAPER:
-        if method == JOINT_QUADRATURE:
-            n, w = cfg.rx_antennas - i, cfg.gain_direct[i] / psi2
-            x = _argument(Scheme.Joint, cfg, i, p, g, mode)
-            return _shaped([marcum_complement_gamma_average(n, w, a) for a in x.tolist()],
-                           scalar)
         return _shaped(_joint_series(cfg, i, p, g, np.atleast_1d(psi2))[:, 0], scalar)
     # the derived psi2_i = xi2_H xi2_G,i L is the mean of xi2_H xi2_G,i V
     v, weights = gamma_expectation_rule(cfg.ris_elements)

@@ -125,8 +125,6 @@ def parse_gains(text):
 
 def parse_schemes(text):
     tokens = [t.strip() for t in str(text).split(",") if t.strip()]
-    if not tokens:
-        raise ConfigurationError("empty scheme list")
     return canonical_schemes(Scheme.from_token(t) for t in tokens)
 
 
@@ -229,18 +227,19 @@ def pilot_overhead_counts(n, m, l):
 def curve_rows(manifest, points):
     """Flatten a sweep's points into one dict per (point, scheme), in the
     manifest's canonical scheme order so files are deterministic."""
+    sweep = manifest.sweep
     rows = []
-    for point in points:
+    for j, point in enumerate(points):
         for s in manifest.schemes:
             est = point.empirical[s]
             rows.append(
                 {
                     "scheme": s.value,
-                    "sweep_variable": manifest.sweep.variable,
-                    "sweep_value": point.sweep_value,
-                    "snr_db": point.snr_db,
-                    "rate_bps_hz": point.rate,
-                    "gamma_th": point.gamma_th,
+                    "sweep_variable": sweep.variable,
+                    "sweep_value": sweep.values[j],
+                    "snr_db": sweep.snr_db[j],
+                    "rate_bps_hz": sweep.rate[j],
+                    "gamma_th": sweep.gamma_th[j],
                     "stream_index": manifest.stream[s],
                     "analytic_outage": point.analytic[s],
                     "mc_outage": est.probability,
@@ -311,8 +310,8 @@ def _print_summary(manifest, points):
     for s in manifest.schemes:
         head += f"  {s.value + ':analytic':>14}  {s.value + ':mc':>10}"
     print(head)
-    for point in points:
-        line = f"{point.sweep_value:>10.3g}"
+    for value, point in zip(manifest.sweep.values, points):
+        line = f"{value:>10.3g}"
         for s in manifest.schemes:
             line += (
                 f"  {point.analytic[s]:>14.4e}"

@@ -105,10 +105,8 @@ class SweepSpec:
 
 @dataclasses.dataclass(frozen=True)
 class CurvePoint:
-    sweep_value: float
-    snr_db: float
-    rate: float
-    gamma_th: float
+    """One grid point's outage per scheme; its operating point is the sweep's."""
+
     analytic: dict
     empirical: dict
 
@@ -285,30 +283,6 @@ def _estimate_from_count(count, valid):
     return OutageEstimate(phat, math.sqrt(phat * (1.0 - phat) / valid), valid)
 
 
-def analytic_outage(
-    scheme,
-    cfg,
-    stream,
-    gamma_th,
-    tx_snr,
-    scale_mode=DEFAULT_SCALE_MODE,
-    joint_method=analytic.DEFAULT_JOINT_METHOD,
-):
-    """Closed-form outage for one scheme, dispatching on the scheme enum;
-    over a grid when gamma_th or tx_snr is one."""
-    scheme = Scheme(scheme)
-    if scheme is Scheme.DirectCsi:
-        return analytic.outage_direct(cfg, stream, gamma_th, tx_snr=tx_snr)
-    if scheme is Scheme.RisCsi:
-        return analytic.outage_ris(cfg, stream, gamma_th, tx_snr=tx_snr)
-    if scheme is Scheme.FullCsi:
-        return analytic.outage_full_clt(cfg, stream, gamma_th, tx_snr=tx_snr,
-                                        mode=scale_mode)
-    return analytic.outage_joint(
-        cfg, stream, gamma_th, tx_snr=tx_snr, mode=scale_mode, method=joint_method
-    )
-
-
 def db_to_power(db):
     """Linear power of a dB value; ConfigurationError where it overflows."""
     try:
@@ -367,11 +341,9 @@ def run_sweep(
     arguments = {s: analytic.law_argument(s, cfg, streams[s], g, tx_snr=p, mode=scale_mode)
                  for s in schemes}
     _refuse_overflow(arguments, sweep, "the law argument")
-    laws = {
-        s: analytic_outage(s, cfg, streams[s], g, p, scale_mode=scale_mode,
-                           joint_method=joint_method).tolist()
-        for s in schemes
-    }
+    laws = {s: analytic.outage(s, cfg, streams[s], g, p, mode=scale_mode,
+                               method=joint_method).tolist()
+            for s in schemes}
 
     samples, _ = snr_samples(cfg, schemes, trials, seed, streams, workers)
     valid = next(iter(samples.values())).size
@@ -379,12 +351,8 @@ def run_sweep(
               for s in schemes}
     return tuple(
         CurvePoint(
-            sweep_value=value,
-            snr_db=sweep.snr_db[j],
-            rate=sweep.rate[j],
-            gamma_th=sweep.gamma_th[j],
             analytic={s: laws[s][j] for s in schemes},
             empirical={s: _estimate_from_count(counts[s][j], valid) for s in schemes},
         )
-        for j, value in enumerate(sweep.values)
+        for j in range(len(sweep.values))
     )

@@ -26,6 +26,7 @@ import rismimo
 from rismimo.analytic import (
     JOINT_PRINTED,
     JOINT_QUADRATURE,
+    outage,
     outage_direct,
     outage_direct_limit,
     outage_joint,
@@ -42,7 +43,7 @@ from rismimo.channel import (
     draw_channel_batch,
 )
 from rismimo.detectors import Scheme
-from rismimo.montecarlo import analytic_outage, snr_samples, threshold_at_unit_snr
+from rismimo.montecarlo import snr_samples, threshold_at_unit_snr
 from rismimo.specfun import (
     kummer_1f1_c2,
     marcum_q1,
@@ -107,7 +108,7 @@ def test_criterion_1_analytic_vs_monte_carlo(banks):
                 p = 10.0 ** (snr_db / 10.0)
                 thr = threshold_at_unit_snr(s, cfg, p, GAMMA_TH)
                 emp = _empirical(samples, thr)
-                ana = analytic_outage(s, cfg, streams[s], GAMMA_TH, p)
+                ana = outage(s, cfg, streams[s], GAMMA_TH, p)
                 stderr = math.sqrt(emp * (1.0 - emp) / samples.size)
                 tol = max(3.0 * stderr, 1e-3)
                 gap = abs(emp - ana)
@@ -200,7 +201,7 @@ def test_criterion_5_scale_mode_adjudication(banks):
             for snr_db in POWERS_DB:
                 p = 10.0 ** (snr_db / 10.0)
                 emp = _empirical(samples, threshold_at_unit_snr(s, cfg32, p, GAMMA_TH))
-                ana = analytic_outage(s, cfg32, stream, GAMMA_TH, p, scale_mode=mode)
+                ana = outage(s, cfg32, stream, GAMMA_TH, p, mode=mode)
                 stderr = math.sqrt(emp * (1.0 - emp) / samples.size)
                 excess = abs(emp - ana) - max(3.0 * stderr, 1e-3)
                 agree[mode] = max(agree[mode], excess)

@@ -243,28 +243,31 @@ def test_sweep_spec_checks_its_fixed_value():
 
 
 def test_single_point_sweep_reduces_to_estimate():
-    (point,) = run_sweep(SMALL, SweepSpec("snr_db", (3.0,), 2.0), (Scheme.FullCsi,),
-                         3_000, SeedSpec(80, 0))
+    sweep = SweepSpec("snr_db", (3.0,), 2.0)
+    (point,) = run_sweep(SMALL, sweep, (Scheme.FullCsi,), 3_000, SeedSpec(80, 0))
     p = 10.0 ** 0.3
     est = estimate_outage(SMALL, Scheme.FullCsi, 3.0, p, 3_000, SeedSpec(80, 0))[0]
     got = point.empirical[Scheme.FullCsi]
     assert got.probability == est.probability  # same trials, same events
     assert got.stderr == est.stderr
-    assert point.gamma_th == 3.0
+    assert sweep.gamma_th == (3.0,)
     assert point.analytic[Scheme.FullCsi] == pytest.approx(
         outage_full_clt(SMALL, 0, 3.0, p)
     )
 
 
 def test_sweep_grid_columns():
-    points = run_sweep(SMALL, SweepSpec("rate", (1.0, 2.0, 3.0), 10 * math.log10(2.0)),
-                       (Scheme.FullCsi,), 2_000, SeedSpec(81, 0))
-    assert [p.gamma_th for p in points] == [1.0, 3.0, 7.0]
-    assert all(p.snr_db == pytest.approx(10 * math.log10(2.0)) for p in points)
-    snr_points = run_sweep(SMALL, SweepSpec("snr_db", (-2.0, 0.0, 2.0), 3.0),
-                           (Scheme.FullCsi,), 2_000, SeedSpec(81, 0))
-    assert [p.snr_db for p in snr_points] == [-2.0, 0.0, 2.0]
-    assert all(p.gamma_th == 7.0 for p in snr_points)  # rate 3
+    # a point carries only its outages; the sweep holds its operating point
+    rates = SweepSpec("rate", (1.0, 2.0, 3.0), 10 * math.log10(2.0))
+    points = run_sweep(SMALL, rates, (Scheme.FullCsi,), 2_000, SeedSpec(81, 0))
+    assert len(points) == 3
+    assert list(rates.gamma_th) == [1.0, 3.0, 7.0]
+    assert all(v == pytest.approx(10 * math.log10(2.0)) for v in rates.snr_db)
+    snrs = SweepSpec("snr_db", (-2.0, 0.0, 2.0), 3.0)
+    snr_points = run_sweep(SMALL, snrs, (Scheme.FullCsi,), 2_000, SeedSpec(81, 0))
+    assert len(snr_points) == 3
+    assert list(snrs.snr_db) == [-2.0, 0.0, 2.0]
+    assert all(g == 7.0 for g in snrs.gamma_th)  # rate 3
 
 
 def test_sweep_empirical_curve_is_monotone_in_power():
@@ -319,13 +322,13 @@ def test_sweep_ris_law_matches_monte_carlo_when_elements_exceed_antennas():
     # the product-gamma law holds for every N >= M and L >= M
     for dims in ((4, 2, 8), (8, 4, 16)):
         cfg = SystemConfig(*dims)
-        points = run_sweep(cfg, SweepSpec("snr_db", (0.0, 10.0, 20.0), 3.0),
-                           (Scheme.RisCsi,), 102_400, SeedSpec(84, 0))
-        for point in points:
+        sweep = SweepSpec("snr_db", (0.0, 10.0, 20.0), 3.0)
+        points = run_sweep(cfg, sweep, (Scheme.RisCsi,), 102_400, SeedSpec(84, 0))
+        for snr_db, point in zip(sweep.values, points):
             want = point.analytic[Scheme.RisCsi]
             est = point.empirical[Scheme.RisCsi]
             assert 0.01 < want < 0.99
-            assert abs(est.probability - want) <= 4.0 * est.stderr, (dims, point.snr_db)
+            assert abs(est.probability - want) <= 4.0 * est.stderr, (dims, snr_db)
 
 
 def test_sweep_columns_equal_per_point_law_calls():
@@ -344,11 +347,10 @@ def test_sweep_columns_equal_per_point_law_calls():
                 streams = resolve_streams(cfg, schemes)
                 for s in schemes:
                     want = []
-                    for value, point in zip(sweep.values, points):
+                    for value, g in zip(sweep.values, sweep.gamma_th):
                         p = 10.0 ** (value / 10.0) if sweep.variable == "snr_db" else 1.0
-                        want.append(montecarlo.analytic_outage(
-                            s, cfg, streams[s], point.gamma_th, p,
-                            scale_mode=mode, joint_method=method))
+                        want.append(analytic.outage(s, cfg, streams[s], g, p,
+                                                    mode=mode, method=method))
                     got = [point.analytic[s] for point in points]
                     assert np.array_equal(got, want), (cfg, sweep.variable, mode, method, s)
 
