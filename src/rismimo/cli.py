@@ -152,6 +152,12 @@ def _parse_bool(text):
     raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
+def _parse_path(text):
+    if not text:
+        raise ConfigurationError("expected a file path, got ''")
+    return text
+
+
 def _choice(values):
     """Converter that accepts exactly one of ``values``; its metavar lists them."""
 
@@ -210,7 +216,7 @@ FLAGS = {
                "(default: 0, and the last stream for the joint detector)"),
     "workers": (_parse_int, "parallel worker processes, at most one per CPU; "
                 "any count gives the same results"),
-    "output": (str, "output file path (default outage_<sweep>.<format>)"),
+    "output": (_parse_path, "output file path (default outage_<sweep>.<format>)"),
     "format": (_choice(("csv", "json")), "output file format"),
     "overhead_report": (_parse_bool,
                         "print pilot-overhead channel uses for the config and exit"),
@@ -323,13 +329,13 @@ def _print_summary(manifest, points):
 def run(manifest):
     """Execute a manifest: sweep, write the output file, print a summary.
 
-    A missing or read-only output directory, or an output path that is a
+    An output path that is a directory, or whose parent is not a writable
     directory, raises OSError before the sweep."""
     folder = os.path.dirname(os.path.abspath(manifest.output))
     if os.path.isdir(manifest.output):
         raise IsADirectoryError(f"output path is a directory: {manifest.output}")
-    if not os.access(folder, os.W_OK):
-        raise OSError(f"output directory missing or not writable: {folder}")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise OSError(f"output folder is not a writable directory: {folder}")
     points = run_sweep(
         manifest.config,
         manifest.sweep,
@@ -387,9 +393,10 @@ def _build_parser():
 def _read_config_file(path):
     """Flag values from a key=value file, each checked by its flag's converter.
     A line whose first non-blank character is '#' is a comment; a '#'
-    anywhere else is refused rather than cutting the value short."""
+    anywhere else is refused rather than cutting the value short. A
+    leading UTF-8 byte-order mark is dropped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError:
         raise ConfigurationError(f"{path}: not UTF-8 text") from None
@@ -419,7 +426,8 @@ def _read_config_file(path):
 def build_manifest(ns, file_values):
     """Layer defaults < preset < config file < explicit flags into a
     RunManifest.  A layer that sets a sweep (snr_db or rate) replaces the
-    sweep of the layers below it."""
+    sweep of the layers below it.  A flag or config key that fixes the
+    swept variable is refused; a preset's or default's is not used."""
     given = dict(file_values)
     given.update((k, x) for k, x in vars(ns).items() if x is not None and k != "config")
     layers = [{k: FLAGS[k][0](text) for k, text in texts.items()}
@@ -438,9 +446,13 @@ def build_manifest(ns, file_values):
     if "snr_db" in v and "rate" in v:
         raise ConfigurationError("sweep either --snr-db or --rate, not both")
     if "rate" in v:
-        sweep = SweepSpec("rate", v["rate"], v["snr_db_fixed"])
+        variable, fixed, unused = "rate", "snr_db_fixed", "rate_fixed"
     else:
-        sweep = SweepSpec("snr_db", v["snr_db"], v["rate_fixed"])
+        variable, fixed, unused = "snr_db", "rate_fixed", "snr_db_fixed"
+    if unused in given:
+        raise ConfigurationError(
+            f"{unused} is given, but the {variable} sweep does not use it")
+    sweep = SweepSpec(variable, v[variable], v[fixed])
 
     cfg = SystemConfig(
         rx_antennas=v["n"],

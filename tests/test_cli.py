@@ -25,6 +25,7 @@ from rismimo.cli import (
     parse_schemes,
     pilot_overhead_counts,
 )
+from rismimo.channel import SystemConfig
 from rismimo.detectors import Scheme
 from rismimo.errors import ConfigurationError, NumericalRankError, NumericError
 
@@ -427,10 +428,18 @@ def test_unwritable_output_fails_before_sampling(tmp_path, capsys, monkeypatch):
         raise AssertionError("run_sweep ran before the output was checked")
 
     monkeypatch.setattr(cli, "run_sweep", no_sweep)
-    missing = tmp_path / "no" / "dir" / "x.csv"
-    argv = ["--preset", "fig1", "--trials", "20480", "--output", str(missing)]
-    assert main(argv) == EXIT_IO
-    assert "i/o error" in capsys.readouterr().err
+    (tmp_path / "file").write_text("")
+    for output, status, error in (
+        (str(tmp_path / "no" / "dir" / "x.csv"), EXIT_IO, "i/o error"),
+        # os.access alone accepts a regular file as the parent
+        (str(tmp_path / "file" / "x.csv"), EXIT_IO, "i/o error"),
+        # abspath('') is the working directory, whose parent exists
+        ("", EXIT_CONFIG, "configuration error: argument --output: expected a file path"),
+    ):
+        argv = ["--preset", "fig1", "--trials", "20480", "--output", output]
+        assert main(argv) == status, output
+        err = capsys.readouterr().err
+        assert err.startswith(error), err
 
 
 def test_directory_output_fails_before_sampling(tmp_path, capsys, monkeypatch):
@@ -496,6 +505,51 @@ def test_config_file_rejects_unknown_and_nested_keys(tmp_path, capsys):
     assert not (tmp_path / "run").exists() and not (tmp_path / "run#1.csv").exists()
 
 
+def test_config_file_with_a_byte_order_mark_runs(tmp_path):
+    # an editor may start a UTF-8 file with U+FEFF; it is not part of a key
+    text = f"n = 6\nm = 2\nl = 2\ntrials = 1500\noutput = {tmp_path / 'run.csv'}\n"
+    written = []
+    for name, bom in (("plain.conf", b""), ("bom.conf", b"\xef\xbb\xbf")):
+        (tmp_path / name).write_bytes(bom + text.encode())
+        assert main(["--config", str(tmp_path / name)]) == EXIT_OK, name
+        written.append((tmp_path / "run.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_fixed_value_of_the_swept_variable_is_refused(tmp_path, capsys):
+    # a rate sweep has no fixed rate and an SNR sweep no fixed SNR; the
+    # value would be dropped without a word
+    small = ["--n", "6", "--m", "2", "--l", "2", "--trials", "100"]
+    for sweep, key in ((("--rate", "1", "--rate-fixed", "1100"), "rate_fixed"),
+                       (("--snr-db", "0", "--snr-db-fixed", "4000"), "snr_db_fixed")):
+        out = tmp_path / "fixed.csv"
+        assert main([*small, *sweep, "--output", str(out)]) == EXIT_CONFIG, sweep
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {key} is given"), err
+    cfgfile = tmp_path / "fixed.conf"
+    cfgfile.write_text("n = 6\nm = 2\nl = 2\nsnr_db = 0\nsnr_db_fixed = 3\n")
+    assert main(["--config", str(cfgfile)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: snr_db_fixed is given"), err
+    # a preset's fixed value is not the user's: an SNR sweep over fig2 runs
+    assert main(["--preset", "fig2", "--snr-db=0:5:1", "--trials", "1024",
+                 "--output", str(tmp_path / "fig2.csv")]) == EXIT_OK
+
+
+def test_summary_first_column_is_the_sweep_grid(tmp_path, capsys):
+    for variable, sweep, values in (("snr_db", ("--snr-db=-2:2:2",), [-2.0, 0.0, 2.0]),
+                                    ("rate", ("--rate", "0.5:1.5:0.5"), [0.5, 1.0, 1.5])):
+        out = tmp_path / "summary.csv"
+        argv = ["--n", "6", "--m", "2", "--l", "2", "--schemes", "d,full",
+                "--trials", "1500", "--output", str(out), *sweep]
+        assert main(argv) == EXIT_OK
+        head, *lines, wrote = capsys.readouterr().out.splitlines()
+        assert head.split() == [variable, "d:analytic", "d:mc", "full:analytic", "full:mc"]
+        assert [float(line.split()[0]) for line in lines] == values
+        assert wrote == f"wrote {out}"
+
+
 def test_config_file_values_are_checked_like_flags(tmp_path, capsys):
     for line in ("format = xml", "scale_mode = bogus", "rate_fixed = abc",
                  "snr_db = nan:1:1"):
@@ -557,9 +611,11 @@ def test_rate_sweep_via_flags(tmp_path):
 
 
 def test_json_out_of_range_law_is_null(tmp_path, monkeypatch):
-    # a law with no value writes null, since JSON has no NaN token
+    # a law with no value writes null, since JSON has no NaN token; the law
+    # patched on `analytic` is the one analytic.outage, and so the run, calls
     monkeypatch.setattr(analytic, "outage_ris", lambda cfg, i, gamma_th, tx_snr=None:
                         np.full(np.shape(gamma_th), math.nan))
+    assert math.isnan(analytic.outage(Scheme.RisCsi, SystemConfig(8, 4, 16), 0, 1.0, 1.0))
     out = tmp_path / "ris.json"
     status = main([
         "--n", "8", "--m", "4", "--l", "16", "--snr-db", "0",
