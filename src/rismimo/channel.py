@@ -44,8 +44,12 @@ _DOMAIN_SURROGATE = 2  # of the Gaussian stand-in of the cascade (tests)
 _STREAM_BITS = 56
 # Bytes of channel variates one trial slice holds. Blocks are drawn and
 # detected in slices of about this size, so a block's working set stays
-# bounded as N and L grow; see `trial_slices`.
-SLICE_BYTES = 8 * 2**20
+# bounded as N and L grow; see `trial_slices`. At 4 MiB a slice's buffers
+# and kernel stacks stay small enough for malloc to reuse them between
+# curves; at 8 MiB they were handed back to the OS and faulted in again,
+# about 6,800 pages per `paper-analytic` benchmark repetition. 2 MiB cost
+# `fig1` about 3%.
+SLICE_BYTES = 4 * 2**20
 
 
 def _gain_vector(value, m, name):

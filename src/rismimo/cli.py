@@ -311,13 +311,25 @@ def write_json(path, manifest, rows):
         fh.write("\n")
 
 
+def _grid_labels(values):
+    """The grid values with the fewest significant digits, at least 3, that
+    tell neighbouring points apart."""
+    for digits in range(3, 18):
+        labels = [format(v, f".{digits}g") for v in values]
+        if all(a != b for a, b in zip(labels, labels[1:])):
+            break
+    return labels
+
+
 def _print_summary(manifest, points):
-    head = f"{manifest.sweep.variable:>10}"
+    labels = _grid_labels(manifest.sweep.values)
+    width = max([10, *map(len, labels)])
+    head = f"{manifest.sweep.variable:>{width}}"
     for s in manifest.schemes:
         head += f"  {s.value + ':analytic':>14}  {s.value + ':mc':>10}"
     print(head)
-    for value, point in zip(manifest.sweep.values, points):
-        line = f"{value:>10.3g}"
+    for label, point in zip(labels, points):
+        line = f"{label:>{width}}"
         for s in manifest.schemes:
             line += (
                 f"  {point.analytic[s]:>14.4e}"
@@ -326,16 +338,25 @@ def _print_summary(manifest, points):
         print(line)
 
 
+def _probe_output(path):
+    """Open the output for append, as the write will open it, and remove it
+    again if it was absent: whatever the file system refuses (a missing or
+    read-only folder, a name too long) raises OSError here, before the
+    sweep, and an existing file keeps its bytes."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"output path is a directory: {path}")
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="ascii"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def run(manifest):
     """Execute a manifest: sweep, write the output file, print a summary.
 
-    An output path that is a directory, or whose parent is not a writable
-    directory, raises OSError before the sweep."""
-    folder = os.path.dirname(os.path.abspath(manifest.output))
-    if os.path.isdir(manifest.output):
-        raise IsADirectoryError(f"output path is a directory: {manifest.output}")
-    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
-        raise OSError(f"output folder is not a writable directory: {folder}")
+    An output the file system would refuse raises OSError before the sweep."""
+    _probe_output(manifest.output)
     points = run_sweep(
         manifest.config,
         manifest.sweep,

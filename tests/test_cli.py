@@ -435,6 +435,8 @@ def test_unwritable_output_fails_before_sampling(tmp_path, capsys, monkeypatch):
         (str(tmp_path / "file" / "x.csv"), EXIT_IO, "i/o error"),
         # abspath('') is the working directory, whose parent exists
         ("", EXIT_CONFIG, "configuration error: argument --output: expected a file path"),
+        # a writable folder, but a name too long for the file system
+        (str(tmp_path / ("x" * 300 + ".csv")), EXIT_IO, "i/o error"),
     ):
         argv = ["--preset", "fig1", "--trials", "20480", "--output", output]
         assert main(argv) == status, output
@@ -539,7 +541,10 @@ def test_fixed_value_of_the_swept_variable_is_refused(tmp_path, capsys):
 
 def test_summary_first_column_is_the_sweep_grid(tmp_path, capsys):
     for variable, sweep, values in (("snr_db", ("--snr-db=-2:2:2",), [-2.0, 0.0, 2.0]),
-                                    ("rate", ("--rate", "0.5:1.5:0.5"), [0.5, 1.0, 1.5])):
+                                    ("rate", ("--rate", "0.5:1.5:0.5"), [0.5, 1.0, 1.5]),
+                                    # three digits would print 10 five times
+                                    ("snr_db", ("--snr-db=10:10.04:0.01",),
+                                     [10.0, 10.01, 10.02, 10.03, 10.04])):
         out = tmp_path / "summary.csv"
         argv = ["--n", "6", "--m", "2", "--l", "2", "--schemes", "d,full",
                 "--trials", "1500", "--output", str(out), *sweep]
@@ -676,8 +681,7 @@ def test_cli_run_does_not_import_scipy_integrate(tmp_path):
 
 
 def test_paper_mode_run_does_not_import_scipy_linalg(tmp_path):
-    # only the derived-mode joint law's Gauss-Laguerre rule needs
-    # scipy.linalg, so a paper-mode run never pays for its import
+    # scipy.linalg costs about 7 MB and tens of milliseconds to import
     _run_fresh_interpreter(tmp_path, (
         "import sys\n"
         "import rismimo.cli\n"
@@ -687,5 +691,18 @@ def test_paper_mode_run_does_not_import_scipy_linalg(tmp_path):
         "                               '--joint-method', method, '--trials', '256',\n"
         "                               '--output', 'run.csv'])\n"
         "    assert status == 0, status\n"
+        "assert 'scipy.linalg' not in sys.modules, 'after a run'\n"
+    ))
+
+
+def test_derived_mode_run_does_not_import_scipy_linalg(tmp_path):
+    # the derived-mode joint law's Gauss-Laguerre rule is solved with numpy
+    _run_fresh_interpreter(tmp_path, (
+        "import sys\n"
+        "import rismimo.cli\n"
+        "status = rismimo.cli.main(['--preset', 'fig1', '--scale-mode', 'derived',\n"
+        "                           '--schemes', 'd,ris,full,joint', '--trials', '256',\n"
+        "                           '--output', 'run.csv'])\n"
+        "assert status == 0, status\n"
         "assert 'scipy.linalg' not in sys.modules, 'after a run'\n"
     ))

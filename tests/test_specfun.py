@@ -303,6 +303,21 @@ def test_gamma_expectation_rule_is_built_once_and_read_only():
         gamma_expectation_rule(2.0)
 
 
+def test_gamma_rule_matches_scipy_tridiagonal_reference():
+    # the rule solves the Jacobi matrix densely with numpy; scipy's
+    # tridiagonal solver is the reference, imported here only
+    from scipy.linalg import eigh_tridiagonal
+
+    for shape in (*range(1, 65), 512):
+        k = np.arange(48, dtype=np.float64)
+        nodes, vecs = eigh_tridiagonal(2.0 * k + shape,
+                                       np.sqrt(k[1:] * (k[1:] + shape - 1)))
+        weights = vecs[0] ** 2 / np.sum(vecs[0] ** 2)
+        v, w = gamma_expectation_rule(shape)
+        for got, want in ((v, nodes), (w, weights)):
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want))), shape
+
+
 # --- adaptive quadrature wrapper ---------------------------------------------
 
 def test_quadrature_spec_validation():
