@@ -14,9 +14,10 @@ scalars or 1-D grids that broadcast against each other, and returns a
 float or an array to match: a scalar call is a one-point grid. What does
 not depend on the point (shapes, psi2, the interference power, the
 quadrature rule, the incomplete-beta table of the joint series) is formed
-once per call, and the rest is elementwise arithmetic and one scalar
-`specfun` call per point, so each point of a grid gets the bits of a
-one-point call.
+once per call, and the rest is elementwise: the ZF gamma law is one
+`gammainc` call over the grid, and the series laws call their scalar
+`specfun` kernel once per point, so each point of a grid gets the bits of
+a one-point call.
 """
 
 import functools
@@ -33,7 +34,6 @@ from .specfun import (
     marcum_complement_gamma_average,
     marcum_q1_complement,  # unused here; bench/tracing.py counts its calls
     product_gamma_cdf,
-    regularized_lower_gamma,
 )
 
 JOINT_PRINTED = "printed"
@@ -61,10 +61,10 @@ def _shaped(values, scalar):
 
 
 def _evaluate(kernel, scheme, cfg, i, gamma_th, tx_snr, mode=None):
-    """``kernel`` at each point of ``scheme``'s law argument over the grid of
-    `_grid`, as a float or an array to match; with no kernel, the argument
-    itself as a 1-D array. An overflowing argument is inf, without a
-    warning."""
+    """``kernel`` over ``scheme``'s law argument on the grid of `_grid`, as a
+    float or an array to match; with no kernel, the argument itself as a
+    1-D array. A kernel takes the 1-D array of arguments and returns one
+    value per entry. An overflowing argument is inf, without a warning."""
     i = check_stream(cfg, i)
     p, g, scalar = _grid(gamma_th, tx_snr)
     with np.errstate(over="ignore", divide="ignore"):
@@ -78,19 +78,30 @@ def _evaluate(kernel, scheme, cfg, i, gamma_th, tx_snr, mode=None):
             x = g / (p * clt_psi2(cfg, mode)[i])
     if kernel is None:
         return x
-    return _shaped([kernel(a) for a in x.tolist()], scalar)
+    return _shaped(kernel(x), scalar)
+
+
+def _limit(kernel, x):
+    """``kernel`` at the scalar or 1-D argument x, as a float or an array."""
+    return _shaped(kernel(np.atleast_1d(x)), np.ndim(x) == 0)
+
+
+def _per_point(series, *shape):
+    """A kernel that calls the scalar ``series(*shape, x)`` once per point."""
+    return lambda x: [series(*shape, a) for a in x.tolist()]
 
 
 def _zf_gamma(cfg):
-    """The ZF gamma CDF P(N-M+1, .) of DirectCsi and FullCsi."""
-    return functools.partial(regularized_lower_gamma, cfg.rx_antennas - cfg.streams + 1)
+    """The ZF gamma CDF P(N-M+1, .) of DirectCsi and FullCsi, one ufunc
+    call over the grid."""
+    return functools.partial(gammainc, cfg.rx_antennas - cfg.streams + 1)
 
 
 def _product_gamma(cfg):
     """RisCsi's product-gamma CDF, of shapes N-M+1 and L-M+1; needs L >= M."""
     check_cascade_rank(cfg)
     n1 = cfg.rx_antennas - cfg.streams + 1
-    return functools.partial(product_gamma_cdf, n1, cfg.ris_elements - cfg.streams + 1)
+    return _per_point(product_gamma_cdf, n1, cfg.ris_elements - cfg.streams + 1)
 
 
 def law_argument(scheme, cfg, i, gamma_th, tx_snr, mode=DEFAULT_SCALE_MODE):
@@ -132,7 +143,7 @@ def outage_direct_limit(cfg, i, gamma_th):
     i = check_stream(cfg, i)
     g = check_nonnegative(gamma_th, "gamma_th")
     scale = interference_power(cfg, Scheme.DirectCsi)
-    return _zf_gamma(cfg)(g * scale / cfg.gain_direct[i])
+    return _limit(_zf_gamma(cfg), g * scale / cfg.gain_direct[i])
 
 
 def _ris_kappa(cfg, i, p=None):
@@ -160,7 +171,7 @@ def outage_ris_limit(cfg, i, gamma_th):
     """p -> inf limit of outage_ris (the outage floor)."""
     i = check_stream(cfg, i)
     kernel = _product_gamma(cfg)
-    return kernel(_ris_kappa(cfg, i) * check_nonnegative(gamma_th, "gamma_th"))
+    return _limit(kernel, _ris_kappa(cfg, i) * check_nonnegative(gamma_th, "gamma_th"))
 
 
 def outage_full_clt(cfg, i, gamma_th, tx_snr, mode=DEFAULT_SCALE_MODE):
@@ -216,8 +227,8 @@ def outage_joint(
             "scaling; use mode='paper' with it or method='quadrature'"
         )
     if mode == SCALE_PAPER and method == JOINT_QUADRATURE:
-        kernel = functools.partial(marcum_complement_gamma_average, cfg.rx_antennas - i,
-                                   cfg.gain_direct[i] / psi2)
+        kernel = _per_point(marcum_complement_gamma_average, cfg.rx_antennas - i,
+                            cfg.gain_direct[i] / psi2)
         return _evaluate(kernel, Scheme.Joint, cfg, i, gamma_th, tx_snr, mode)
     p, g, scalar = _grid(gamma_th, tx_snr)
     if mode == SCALE_PAPER:

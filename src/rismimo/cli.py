@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import types
 
 from .channel import DEFAULT_SCALE_MODE, SCALE_MODES, SeedSpec, SystemConfig
 from .detectors import Scheme
@@ -231,29 +232,19 @@ def pilot_overhead_counts(n, m, l):
 
 
 def curve_rows(manifest, points):
-    """Flatten a sweep's points into one dict per (point, scheme), in the
-    manifest's canonical scheme order so files are deterministic."""
+    """Flatten a sweep's points into one tuple per (point, scheme), in
+    CSV_COLUMNS order and in the manifest's canonical scheme order so files
+    are deterministic."""
     sweep = manifest.sweep
+    seed = manifest.master_seed
     rows = []
-    for j, point in enumerate(points):
+    for point, *where in zip(points, sweep.values, sweep.snr_db, sweep.rate,
+                             sweep.gamma_th):
         for s in manifest.schemes:
             est = point.empirical[s]
-            rows.append(
-                {
-                    "scheme": s.value,
-                    "sweep_variable": sweep.variable,
-                    "sweep_value": sweep.values[j],
-                    "snr_db": sweep.snr_db[j],
-                    "rate_bps_hz": sweep.rate[j],
-                    "gamma_th": sweep.gamma_th[j],
-                    "stream_index": manifest.stream[s],
-                    "analytic_outage": point.analytic[s],
-                    "mc_outage": est.probability,
-                    "mc_stderr": est.stderr,
-                    "trials": est.trials,
-                    "seed": manifest.master_seed,
-                }
-            )
+            rows.append((s.value, sweep.variable, *where, manifest.stream[s],
+                         point.analytic[s], est.probability, est.stderr, est.trials,
+                         seed))
     return rows
 
 
@@ -288,8 +279,7 @@ def manifest_items(manifest):
 def write_csv(path, manifest, rows):
     lines = [f"# {k} = {v}" for k, v in manifest_items(manifest)]
     lines.append(",".join(CSV_COLUMNS))
-    for row in rows:
-        lines.append(_CSV_ROW % tuple(row[c] for c in CSV_COLUMNS))
+    lines.extend(_CSV_ROW % row for row in rows)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -298,7 +288,7 @@ def write_json(path, manifest, rows):
     # JSON has no NaN: a value without a law in range is written as null
     rows = [
         {k: None if isinstance(v, float) and not math.isfinite(v) else v
-         for k, v in row.items()}
+         for k, v in zip(CSV_COLUMNS, row)}
         for row in rows
     ]
     doc = {
@@ -327,7 +317,7 @@ def _print_summary(manifest, points):
     head = f"{manifest.sweep.variable:>{width}}"
     for s in manifest.schemes:
         head += f"  {s.value + ':analytic':>14}  {s.value + ':mc':>10}"
-    print(head)
+    lines = [head]
     for label, point in zip(labels, points):
         line = f"{label:>{width}}"
         for s in manifest.schemes:
@@ -335,7 +325,8 @@ def _print_summary(manifest, points):
                 f"  {point.analytic[s]:>14.4e}"
                 f"  {point.empirical[s].probability:>10.4e}"
             )
-        print(line)
+        lines.append(line)
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def _probe_output(path):
@@ -411,6 +402,20 @@ def _build_parser():
     return ap
 
 
+_PARSER = _build_parser()
+
+
+def _layer(texts):
+    """Flag texts run through their converters, as a read-only mapping of
+    immutable values."""
+    return types.MappingProxyType({k: FLAGS[k][0](text) for k, text in texts.items()})
+
+
+# the layers below a run's config file and flags, converted once
+_DEFAULT_LAYER = _layer(DEFAULTS)
+_PRESET_LAYERS = {name: _layer(texts) for name, texts in PRESETS.items()}
+
+
 def _read_config_file(path):
     """Flag values from a key=value file, each checked by its flag's converter.
     A line whose first non-blank character is '#' is a comment; a '#'
@@ -451,10 +456,8 @@ def build_manifest(ns, file_values):
     swept variable is refused; a preset's or default's is not used."""
     given = dict(file_values)
     given.update((k, x) for k, x in vars(ns).items() if x is not None and k != "config")
-    layers = [{k: FLAGS[k][0](text) for k, text in texts.items()}
-              for texts in (DEFAULTS, PRESETS.get(given.get("preset"), {}))]
     v = {}
-    for layer in layers + [given]:
+    for layer in (_DEFAULT_LAYER, _PRESET_LAYERS.get(given.get("preset"), {}), given):
         if {"snr_db", "rate"} & layer.keys():
             v.pop("snr_db", None)
             v.pop("rate", None)
@@ -502,7 +505,7 @@ def main(argv=None):
     """Run the command line; returns a process exit status (0 ok,
     2 configuration, 3 numerics, 4 file I/O)."""
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _PARSER.parse_args(argv)
         file_values = _read_config_file(ns.config) if ns.config else {}
         manifest = build_manifest(ns, file_values)
         if ns.overhead_report or file_values.get("overhead_report"):

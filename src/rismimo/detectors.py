@@ -60,6 +60,10 @@ class Scheme(enum.Enum):
     FullCsi = "full"
     Joint = "joint"
 
+    # members are singletons, so identity is equality; Enum's own __hash__
+    # hashes the name in Python on every dict and set lookup
+    __hash__ = object.__hash__
+
     @classmethod
     def from_token(cls, token):
         for scheme in cls:

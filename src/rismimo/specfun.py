@@ -3,10 +3,11 @@
 All of these have library equivalents, but the outage formulas live or die
 on their tail behavior, so the package carries its own implementations with
 known truncation rules and pairs each one with an independent oracle in the
-test suite. Integer-order shortcuts are used throughout: every gamma shape
-appearing in the model is an integer, which turns the incomplete gamma
-functions into finite sums and the confluent hypergeometric function into a
-terminating series.
+test suite. The regularized incomplete gamma functions themselves are
+scipy.special's `gammainc` and `gammaincc`, which keep full relative
+accuracy in both tails. Integer-order shortcuts are used throughout: every
+gamma shape appearing in the model is an integer, which turns the
+confluent hypergeometric function into a terminating series.
 """
 
 import functools
@@ -59,56 +60,6 @@ class QuadratureSpec:
         check_positive(self.rel_tol, "rel_tol")
         check_positive(self.abs_tol, "abs_tol")
         check_count(self.max_subdivisions, "max_subdivisions")
-
-
-def regularized_upper_gamma(n, x):
-    """Q(n, x) = Gamma(n, x)/Gamma(n) for integer n >= 1.
-
-    Equals exp(-x) * sum_{k=0}^{n-1} x^k / k!, the survival function of a
-    unit-scale Gamma(n) variate at x.
-    """
-    n = check_count(n, "shape")
-    x = check_nonnegative(x, "argument")
-    if x == 0.0:
-        return 1.0
-    if x < 700.0:
-        term = 1.0
-        total = 1.0
-        for k in range(1, n):
-            term *= x / k
-            total += term
-        return math.exp(-x) * total
-    # Large x: individual terms x^k/k! overflow long before the weighted sum
-    # matters, so assemble each weighted term in log space.
-    lx = math.log(x)
-    total = 0.0
-    for k in range(n):
-        total += math.exp(k * lx - x - math.lgamma(k + 1))
-    return total
-
-
-def regularized_lower_gamma(n, x):
-    """P(n, x) = 1 - Q(n, x), evaluated without cancellation in the left tail.
-
-    For x below the shape the complement 1 - Q(n, x) would lose everything
-    under ~1e-16; the convergent tail series exp(-x) * sum_{k>=n} x^k / k!
-    keeps full relative accuracy there.
-    """
-    n = check_count(n, "shape")
-    x = check_nonnegative(x, "argument")
-    if x == 0.0:
-        return 0.0
-    if x >= n:
-        return 1.0 - regularized_upper_gamma(n, x)
-    term = math.exp(n * math.log(x) - x - math.lgamma(n + 1))
-    total = term
-    k = n
-    while True:
-        k += 1
-        term *= x / k
-        total += term
-        if term <= total * 1e-17:
-            return min(total, 1.0)
 
 
 def _marcum_parts(a, b):

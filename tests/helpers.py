@@ -192,4 +192,4 @@ def eliminate_full_update(g):
 
 def cli_manifest(*argv):
     """The RunManifest the CLI resolves from ``argv``, without a config file."""
-    return cli.build_manifest(cli._build_parser().parse_args(argv), {})
+    return cli.build_manifest(cli._PARSER.parse_args(argv), {})

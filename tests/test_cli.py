@@ -165,8 +165,39 @@ def test_main_reruns_byte_identical(tmp_path):
     _, a = _run_small(tmp_path / "x", "run.csv")
     _, b = _run_small(tmp_path / "y", "run.csv")
     assert _data_lines(a) == _data_lines(b)
+    first = a.read_bytes()
     _, again = _run_small(tmp_path / "x", "run.csv")
-    assert a.read_bytes() == again.read_bytes()
+    assert again.read_bytes() == first
+
+
+def _header(path):
+    """The '# key = value' manifest lines of a CSV output as a dict."""
+    return dict(ln[2:].split(" = ", 1)
+                for ln in path.read_text().split("\n") if ln.startswith("# "))
+
+
+def test_once_built_cli_state_leaks_nothing_between_runs(tmp_path):
+    # the parser and the default and preset layers are built once per
+    # process: a preset run leaves nothing behind for the next run, and the
+    # same argv writes the same bytes however many runs came between
+    fig2 = ["--preset", "fig2", "--trials", "64", "--seed", "3",
+            "--output", str(tmp_path / "fig2.csv")]
+    plain = ["--n", "4", "--m", "2", "--l", "2", "--schemes", "d,full",
+             "--trials", "64", "--output", str(tmp_path / "plain.csv")]
+    assert main(fig2) == EXIT_OK
+    first = (tmp_path / "fig2.csv").read_bytes()
+    assert main(plain) == EXIT_OK
+    head = _header(tmp_path / "plain.csv")
+    assert (head["gain_d"], head["gain_g"], head["gain_h"]) == ("1,1", "1,1", "1")
+    assert head["sweep_variable"] == "snr_db"
+    assert head["sweep_values"] == ",".join(str(v) for v in range(-10, 11))
+    assert head["rate_fixed_bps_hz"] == "3"
+    assert main(fig2) == EXIT_OK
+    assert (tmp_path / "fig2.csv").read_bytes() == first
+    assert main(plain) == EXIT_OK
+    assert _header(tmp_path / "plain.csv") == head
+    with pytest.raises(TypeError):
+        cli._PRESET_LAYERS["fig2"]["n"] = 4
 
 
 def test_main_worker_count_invisible_in_output(tmp_path):
@@ -209,15 +240,17 @@ def test_csv_cells_are_float_17g_and_str(tmp_path):
     floats = [c for c in CSV_COLUMNS if c in cli._FLOAT_COLUMNS]
     others = {"scheme": "full", "sweep_variable": "snr_db", "stream_index": 1,
               "trials": np.int64(1024), "seed": 2**64 - 1}
-    rows = [dict(others, **{c: values[(k + j) % len(values)]
-                            for j, c in enumerate(floats)})
-            for k in range(len(values))]
+    named = [dict(others, **{c: values[(k + j) % len(values)]
+                             for j, c in enumerate(floats)})
+             for k in range(len(values))]
+    # curve_rows gives the writer tuples in CSV_COLUMNS order
+    rows = [tuple(row[c] for c in CSV_COLUMNS) for row in named]
     path = tmp_path / "cells.csv"
     cli.write_csv(path, manifest, rows)
     data = _data_lines(path)
     assert data[0] == ",".join(CSV_COLUMNS)
     want = [",".join(format(float(row[c]), ".17g") if c in floats else str(row[c])
-                     for c in CSV_COLUMNS) for row in rows]
+                     for c in CSV_COLUMNS) for row in named]
     assert data[1:-1] == want
     assert data[-1] == ""
 

@@ -3,6 +3,7 @@ per-trial oracle, the QR reference, the one-stream path, and the Gram
 product and elimination they are built from."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -31,6 +32,11 @@ def test_threshold_from_rate():
 def test_scheme_tokens_round_trip():
     for s in Scheme:
         assert Scheme.from_token(s.value) is s
+        # hashed by identity: a pickle round trip (as to a pool worker) gives
+        # the member itself, which finds its set and dict entries
+        back = pickle.loads(pickle.dumps(s))
+        assert back is s
+        assert back in set(Scheme) and {m: m.value for m in Scheme}[back] == s.value
     with pytest.raises(ConfigurationError):
         Scheme.from_token("zf")
 

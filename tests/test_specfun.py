@@ -17,8 +17,8 @@ import pytest
 from scipy import integrate, special, stats
 
 from rismimo import specfun
-from rismimo.analytic import law_argument
-from rismimo.channel import SCALE_PAPER, clt_psi2
+from rismimo.analytic import _zf_gamma, law_argument
+from rismimo.channel import SCALE_PAPER, SystemConfig, clt_psi2
 from rismimo.detectors import Scheme
 from rismimo.errors import ConfigurationError, NumericError
 from rismimo.specfun import (
@@ -30,60 +30,29 @@ from rismimo.specfun import (
     marcum_q1,
     marcum_q1_complement,
     product_gamma_cdf,
-    regularized_lower_gamma,
-    regularized_upper_gamma,
 )
 
 from helpers import cli_manifest
 
 
-# --- regularized incomplete gamma ------------------------------------------
+# --- ZF gamma law kernel ------------------------------------------------------
 
-def test_upper_gamma_frozen_values():
-    # Q(1, x) = e^-x; Q(3, 2) = e^-2 (1 + 2 + 2)
-    assert regularized_upper_gamma(1, 0.7) == pytest.approx(math.exp(-0.7), rel=1e-14)
-    assert regularized_upper_gamma(3, 2.0) == pytest.approx(5.0 * math.exp(-2.0), rel=1e-14)
-    assert regularized_upper_gamma(4, 0.0) == 1.0
-
-
-def test_incomplete_gamma_against_scipy():
-    ns = (1, 2, 5, 21, 60)
-    xs = (1e-8, 0.03, 0.7, 3.0, 19.0, 150.0, 705.0, 900.0)
-    for n in ns:
-        for x in xs:
-            up = regularized_upper_gamma(n, x)
-            lo = regularized_lower_gamma(n, x)
-            ref_up = float(special.gammaincc(n, x))
-            ref_lo = float(special.gammainc(n, x))
-            assert up == pytest.approx(ref_up, rel=1e-11, abs=1e-300)
-            assert lo == pytest.approx(ref_lo, rel=1e-11, abs=1e-300)
-
-
-def test_incomplete_gamma_complement_and_monotone():
-    for n in (1, 3, 21):
-        xs = np.linspace(0.01, 40.0, 50)
-        q = np.array([regularized_upper_gamma(n, x) for x in xs])
-        p = np.array([regularized_lower_gamma(n, x) for x in xs])
-        assert np.allclose(p + q, 1.0, atol=1e-13)
-        assert (np.diff(p) >= 0).all()
-        # strictly increasing until the CDF saturates at 1.0 in doubles
-        live = p < 1.0 - 1e-12
-        assert (np.diff(p[live]) > 0).all()
-
-
-def test_lower_gamma_deep_tail_avoids_cancellation():
-    # P(21, 1e-6) ~ 1e-145: forming 1 - Q would lose everything
-    val = regularized_lower_gamma(21, 1e-6)
-    ref = float(special.gammainc(21, 1e-6))
-    assert val > 0
-    assert val == pytest.approx(ref, rel=1e-10)
-
-
-def test_gamma_count_validation():
-    with pytest.raises(ConfigurationError):
-        regularized_upper_gamma(0, 1.0)
-    with pytest.raises(ConfigurationError):
-        regularized_lower_gamma(3, -0.5)
+def test_zf_gamma_kernel_against_mpmath():
+    # the d and full laws' P(N-M+1, x), one array call over the grid,
+    # against a 40-digit reference; x = 1e-6 at shape 21 is P ~ 1e-145,
+    # where forming 1 - Q would lose everything
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate((np.logspace(-8, 3, 45), [1e-6, 0.5, 20.0, 21.0, 22.0]))
+    worst = 0.0
+    with mpmath.workdps(40):
+        for shape in range(1, 34):
+            kernel = _zf_gamma(SystemConfig(shape + 1, 2, 2))
+            got = kernel(xs)
+            assert got.shape == xs.shape and (got > 0).all()
+            ref = np.array([float(mpmath.gammainc(shape, 0, mpmath.mpf(float(x)),
+                                                  regularized=True)) for x in xs])
+            worst = max(worst, float(np.max(np.abs(got - ref) / ref)))
+    assert worst < 5e-13
 
 
 # --- Marcum Q ----------------------------------------------------------------
