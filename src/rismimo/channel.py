@@ -20,6 +20,7 @@ draws are a fixed function of the pair regardless of how work is scheduled
 across processes, or of how many trials each call draws.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -99,6 +100,19 @@ class SystemConfig:
         object.__setattr__(
             self, "gain_tx_ris", _gain_vector(self.gain_tx_ris, self.streams, "gain_tx_ris")
         )
+
+    @functools.cached_property
+    def entry_scales(self):
+        """Standard deviation of each real and imaginary part of a trial's
+        channel entries, in draw order: built once per config, read-only."""
+        n, l = self.rx_antennas, self.ris_elements
+        scales = np.repeat(np.concatenate((
+            np.tile(np.sqrt(0.5 * self.gain_direct), n),
+            np.full(n * l, math.sqrt(0.5 * self.gain_ris_rx)),
+            np.tile(np.sqrt(0.5 * self.gain_tx_ris), l),
+        )), 2)
+        scales.flags.writeable = False
+        return scales
 
 
 def check_stream(cfg, index):
@@ -181,16 +195,6 @@ def channel_generators(seed):
     return _generator(seed, _DOMAIN_ENTRIES), _generator(seed, _DOMAIN_PHASES)
 
 
-def _entry_scales(cfg):
-    """Standard deviation of each real and imaginary part, in draw order."""
-    n, l = cfg.rx_antennas, cfg.ris_elements
-    return np.repeat(np.concatenate((
-        np.tile(np.sqrt(0.5 * cfg.gain_direct), n),
-        np.full(n * l, math.sqrt(0.5 * cfg.gain_ris_rx)),
-        np.tile(np.sqrt(0.5 * cfg.gain_tx_ris), l),
-    )), 2)
-
-
 def draw_channel_batch(cfg, seed, count, out=None):
     """Draw `count` i.i.d. realizations from one substream.
 
@@ -217,7 +221,7 @@ def draw_channel_batch(cfg, seed, count, out=None):
     x = flat[:count * width].reshape(count, width)
     phi = flat[x.size:x.size + count * l].reshape(count, l)
     entries.standard_normal(out=x)
-    x *= _entry_scales(cfg)
+    x *= cfg.entry_scales
     d, h, g = np.split(x.view(np.complex128), (n * m, n * m + n * l), axis=1)
     phases.random(out=phi)
     phi *= 2.0 * np.pi

@@ -26,12 +26,20 @@ call overhead.
 Only the upper triangle is eliminated, since nothing reads the lower one
 again. The elimination's pivots are the |r_kk|^2 of the QR factor with
 the same column order. With column i put last, the last pivot of G_d, G_b
-or G_d + G_b + X + X^H is 1/g_i. For Joint, G_d is bordered by the columns
+or G_d + G_b + X + X^H is 1/g_i. For Joint, G_d is bordered by the column
 X[:, i] = H_d^H b_i; once pivots 0..i-1 are eliminated, row i holds
 p_i = |r_ii|^2 and g_iM = conj(r_ii) q_i^H b_i, so
-|r_ii + q_i^H b_i|^2 = |p_i + g_iM|^2 / p_i, and one elimination gives
-every stream. Rank deficiency is flagged per trial, not raised, so
-failures get counted. Noise is never sampled: each gamma is a
+|r_ii + q_i^H b_i|^2 = |p_i + g_iM|^2 / p_i.
+The schemes share one (M, M + 1, S * count) stack, one segment of
+``count`` trials per requested scheme along its trials axis: a ZF
+scheme's matrix with its stream moved last and a zero border column that
+nothing reads, and Joint's G_d bordered by X[:, i]. The elimination works
+on each trial's column alone, so one call gives every segment exactly
+the bytes a call of its own would, and the NumPy call overhead of the
+small row updates is paid once rather than once per scheme. A call for
+every stream fills and eliminates the stack once per stream, so its
+memory stays that of one stream. Rank deficiency is flagged per trial,
+not raised, so failures get counted. Noise is never sampled: each gamma is a
 deterministic function of the drawn channel blocks, which is what lets the
 Monte Carlo engine reuse one draw across schemes (common random numbers).
 `batch_gammas` returns every SNR at unit transmit power, p = 1: on the
@@ -175,14 +183,6 @@ def _eliminate(g):
     return pivots, pivots.min(axis=0) > RANK_RTOL * pivots.max(axis=0)
 
 
-def _last_pivot(gram, i):
-    """(1/[G^{-1}]_ii, ok) from a trials-last Gram stack: put index i last
-    and eliminate the others."""
-    order = [k for k in range(gram.shape[0]) if k != i] + [i]
-    pivots, ok = _eliminate(gram[np.ix_(order, order)])
-    return pivots[-1], ok
-
-
 def batch_gammas(batch, cfg, schemes, streams=None):
     """Per-stream unit-power SNRs for each requested scheme on a shared
     channel stack.
@@ -190,8 +190,10 @@ def batch_gammas(batch, cfg, schemes, streams=None):
     Returns (gammas, ok) with ok a (count,) mask of trials where every
     requested elimination had full numerical rank. gammas[scheme] has
     shape (count, M); given ``streams``, a {scheme: stream index} dict, it
-    has shape (count,) and holds that stream alone, which costs one
-    elimination per scheme. Flagged trials read 0. The trials are worked
+    has shape (count,) and holds that stream alone. Every requested
+    scheme is one segment of a shared stack, eliminated once per slice for
+    ``streams`` and once per stream per slice without it (see the module
+    docstring). Flagged trials read 0. The trials are worked
     in the slices of `channel.trial_slices`, which bounds the working set
     and leaves every byte as one piece would give it; the benchmark's
     first-block check passes a whole block here.
@@ -213,41 +215,81 @@ def batch_gammas(batch, cfg, schemes, streams=None):
 
 
 def _slice_gammas(batch, cfg, schemes, streams):
-    """`batch_gammas` on a batch in one piece."""
+    """`batch_gammas` on a batch in one piece: one `_eliminate` call on
+    the shared stack for ``streams``, or one per stream without it, each
+    filling the same stack again."""
     wanted = set(schemes)
     m = cfg.streams
     direct = batch.direct
+    count = direct.shape[0]
     cascade = cascade_batch(batch) if wanted - {Scheme.DirectCsi} else None
-    grams = {}
+    gd = gb = cross = None
     if wanted & {Scheme.FullCsi, Scheme.Joint}:
-        grams[Scheme.DirectCsi], cross = _gram(direct, direct, cascade)
+        gd, cross = _gram(direct, direct, cascade)
     elif Scheme.DirectCsi in wanted:
-        grams[Scheme.DirectCsi], = _gram(direct, direct)
+        gd, = _gram(direct, direct)
     if wanted & {Scheme.RisCsi, Scheme.FullCsi}:
-        grams[Scheme.RisCsi], = _gram(cascade, cascade)
+        gb, = _gram(cascade, cascade)
+    del cascade
+    zf = {Scheme.DirectCsi: gd, Scheme.RisCsi: gb}
     if Scheme.FullCsi in wanted:
-        grams[Scheme.FullCsi] = (grams[Scheme.DirectCsi] + grams[Scheme.RisCsi]
-                                 + cross + cross.conj().transpose(1, 0, 2))
+        # summed in contiguous memory, then copied: adding in place into the
+        # strided segment took about 1.5 times as long
+        full = zf[Scheme.FullCsi] = gd + gb
+        full += cross
+        full += cross.conj().transpose(1, 0, 2)
 
-    ok = np.ones(direct.shape[0], dtype=bool)
-    gammas = {}
+    parts = {s: slice(n * count, (n + 1) * count)
+             for n, s in enumerate(dict.fromkeys(schemes))}
+    stack = np.empty((m, m + 1, len(parts) * count), dtype=np.complex128)
+    requests = [streams] if streams is not None else [
+        dict.fromkeys(schemes, i) for i in range(m)]
+    runs = []
     # A rank-deficient trial may divide by a zero pivot. The inf or NaN stays
     # in that trial, fails the strict ratio test and is replaced by 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for s in schemes:
-            idx = list(range(m)) if streams is None else [streams[s]]
-            if s is Scheme.Joint:
-                # G_d bordered by X[:, i]; row i ends as (p_i, g_iM)
-                g = np.concatenate((grams[Scheme.DirectCsi], cross[:, idx]), axis=1)
-                pivots, k = _eliminate(g)
-                piv = pivots[idx]
-                gam = np.abs(piv + g[idx, m + np.arange(len(idx))]) ** 2 / piv
-            else:
-                runs = [_last_pivot(grams[s], i) for i in idx]
-                gam = ((1.0 / (interference_power(cfg, s) + 1.0))
-                       * np.array([r[0] for r in runs]))
-                k = np.logical_and.reduce([r[1] for r in runs])
-            gam = np.where(k, gam, 0.0).T
-            gammas[s] = gam if streams is None else gam[:, 0]
-            ok &= k
+        for request in requests:
+            for s in schemes:
+                seg, i = stack[:, :, parts[s]], request[s]
+                if s is Scheme.Joint:
+                    seg[:, :m] = gd
+                    seg[:, m] = cross[:, i]
+                else:
+                    seg[:, m] = 0.0
+                    _write_moved_last(seg, i, zf[s])
+            pivots, flags = _eliminate(stack)
+            run = {}
+            for s in schemes:
+                part, i = parts[s], request[s]
+                if s is Scheme.Joint:
+                    # row i ends as (p_i, g_iM)
+                    piv = pivots[i, part]
+                    gam = np.abs(piv + stack[i, m, part]) ** 2 / piv
+                else:
+                    gam = (1.0 / (interference_power(cfg, s) + 1.0)) * pivots[-1, part]
+                run[s] = gam, flags[part]
+            runs.append(run)
+
+    ok = np.ones(count, dtype=bool)
+    gammas = {}
+    for s in schemes:
+        k = np.logical_and.reduce([run[s][1] for run in runs])
+        gam = np.where(k, np.array([run[s][0] for run in runs]), 0.0).T
+        gammas[s] = gam if streams is None else gam[:, 0]
+        ok &= k
     return gammas, ok
+
+
+def _write_moved_last(seg, i, gram):
+    """Copy the trials-last (m, m, count) ``gram`` into seg[:, :m] with
+    index i moved last, block by block: the rows and columns before i keep
+    their place, those after it move up by one, and i goes last."""
+    m = gram.shape[0]
+    moves = [(src, dst) for src, dst in (
+        (slice(0, i), slice(0, i)),
+        (slice(i + 1, m), slice(i, m - 1)),
+        (slice(i, i + 1), slice(m - 1, m)),
+    ) if src.start < src.stop]
+    for rows, rows_to in moves:
+        for cols, cols_to in moves:
+            seg[rows_to, cols_to] = gram[rows, cols]

@@ -1,8 +1,8 @@
 """Code that only the tests use: the per-stream outage estimator, the
 composite channel, the Gaussian cascade surrogate, the conditional
-joint-detection law, the QR formulation of the detector kernels, the
-full-update form of their elimination and the manifest the CLI builds
-from its arguments.
+joint-detection law, the QR formulation of the detector kernels, their
+per-scheme elimination path, the full-update form of their elimination
+and the manifest the CLI builds from its arguments.
 
 Each is built from the package's own pieces, so what it checks is the
 package: the same block loop, draws, threshold map and special functions
@@ -23,7 +23,7 @@ from rismimo.channel import (
     check_stream,
     clt_psi2,
 )
-from rismimo.detectors import RANK_RTOL, Scheme, interference_power
+from rismimo.detectors import RANK_RTOL, Scheme, _eliminate, _gram, interference_power
 from rismimo.errors import ConfigurationError, check_nonnegative, check_positive
 from rismimo.montecarlo import (
     _collect,
@@ -173,6 +173,57 @@ def qr_gammas(batch, cfg, schemes, tx_snr, streams=None):
             g, k = _qr_inverse_gram(a, i)
             gammas[s] = p / ((interference_power(cfg, s, p) + 1.0) * g)
         ok &= k
+    return gammas, ok
+
+
+def _last_pivot(gram, i):
+    """(1/[G^{-1}]_ii, ok) from a trials-last Gram stack: put index i last
+    and eliminate the others."""
+    order = [k for k in range(gram.shape[0]) if k != i] + [i]
+    pivots, ok = _eliminate(gram[np.ix_(order, order)])
+    return pivots[-1], ok
+
+
+def per_scheme_gammas(batch, cfg, schemes, streams=None):
+    """`detectors.batch_gammas` with one elimination per scheme and stream,
+    on the batch in one piece: each ZF scheme's Gram matrix gathered with
+    the stream last and eliminated alone, and G_d bordered by every
+    requested column of X = H_d^H B eliminated once for Joint. The stacked
+    kernel must match it byte for byte, rank flags included."""
+    wanted = set(schemes)
+    m = cfg.streams
+    direct = batch.direct
+    cascade = cascade_batch(batch) if wanted - {Scheme.DirectCsi} else None
+    grams = {}
+    if wanted & {Scheme.FullCsi, Scheme.Joint}:
+        grams[Scheme.DirectCsi], cross = _gram(direct, direct, cascade)
+    elif Scheme.DirectCsi in wanted:
+        grams[Scheme.DirectCsi], = _gram(direct, direct)
+    if wanted & {Scheme.RisCsi, Scheme.FullCsi}:
+        grams[Scheme.RisCsi], = _gram(cascade, cascade)
+    if Scheme.FullCsi in wanted:
+        grams[Scheme.FullCsi] = (grams[Scheme.DirectCsi] + grams[Scheme.RisCsi]
+                                 + cross + cross.conj().transpose(1, 0, 2))
+
+    ok = np.ones(direct.shape[0], dtype=bool)
+    gammas = {}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for s in schemes:
+            idx = list(range(m)) if streams is None else [streams[s]]
+            if s is Scheme.Joint:
+                # G_d bordered by X[:, i]; row i ends as (p_i, g_iM)
+                g = np.concatenate((grams[Scheme.DirectCsi], cross[:, idx]), axis=1)
+                pivots, k = _eliminate(g)
+                piv = pivots[idx]
+                gam = np.abs(piv + g[idx, m + np.arange(len(idx))]) ** 2 / piv
+            else:
+                runs = [_last_pivot(grams[s], i) for i in idx]
+                gam = ((1.0 / (interference_power(cfg, s) + 1.0))
+                       * np.array([r[0] for r in runs]))
+                k = np.logical_and.reduce([r[1] for r in runs])
+            gam = np.where(k, gam, 0.0).T
+            gammas[s] = gam if streams is None else gam[:, 0]
+            ok &= k
     return gammas, ok
 
 

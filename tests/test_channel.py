@@ -194,6 +194,28 @@ def test_uniforms_per_trial_formula():
     assert uniforms_per_trial(CFG) == 2 * n * m + 2 * n * l + 2 * l * m + l
 
 
+def test_entry_scales_are_built_once_per_config():
+    # one read-only array per config scales every draw: each real and
+    # imaginary part of H_d (stream gains along rows), H, then G
+    cfg = SystemConfig(3, 2, 2, gain_direct=(0.5, 2.0), gain_tx_ris=(1.5, 0.3),
+                       gain_ris_rx=0.7)
+    scales = cfg.entry_scales
+    assert cfg.entry_scales is scales and not scales.flags.writeable
+    variances = np.concatenate((np.tile([0.5, 2.0], 3), np.full(6, 0.7),
+                                np.tile([1.5, 0.3], 2)))
+    assert np.array_equal(scales, np.repeat(np.sqrt(0.5 * variances), 2))
+    # a draw is its standard normals times those scales
+    batch = draw_channel_batch(cfg, SeedSpec(44, 0), 5)
+    normals = channel_generators(SeedSpec(44, 0))[0].standard_normal((5, scales.size))
+    entries = np.concatenate([a.reshape(5, -1) for a in
+                              (batch.direct, batch.ris_rx, batch.tx_ris)], axis=1)
+    assert entries.view(np.float64).tobytes() == (normals * scales).tobytes()
+    # a changed config builds its own
+    other = dataclasses.replace(cfg, gain_ris_rx=4.0)
+    assert other.entry_scales is not scales
+    assert np.array_equal(other.entry_scales[12:24], np.full(12, math.sqrt(2.0)))
+
+
 # --- marginal statistics ----------------------------------------------------------
 
 def test_entry_moments():

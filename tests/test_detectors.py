@@ -1,20 +1,30 @@
 """Detector SNR kernels: hand-built cases, distributions, an independent
-per-trial oracle, the QR reference, the one-stream path, and the Gram
+per-trial oracle, the QR reference, the per-scheme elimination path, the
+one-stream path, the shared stack's call count and memory, and the Gram
 product and elimination they are built from."""
 
 import math
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from rismimo.channel import ChannelBatch, SeedSpec, SystemConfig, draw_channel_batch
+from rismimo import detectors
+from rismimo.channel import (
+    ChannelBatch,
+    SeedSpec,
+    SystemConfig,
+    draw_channel_batch,
+    trial_slices,
+)
 from rismimo.detectors import Scheme, _eliminate, _gram, batch_gammas, threshold_from_rate
 from rismimo.errors import ConfigurationError
+from rismimo.montecarlo import resolve_streams
 
-from helpers import eliminate_full_update, qr_gammas
+from helpers import eliminate_full_update, per_scheme_gammas, qr_gammas
 
 
 ALL = tuple(Scheme)
@@ -199,13 +209,26 @@ def test_batch_matches_single_trial_loop():
                                            err_msg=f"{_dims(cfg)} {scheme} trial {t}")
 
 
-def test_batch_flags_rank_deficient_trials():
-    cfg = SystemConfig(4, 2, 3)
-    batch = draw_channel_batch(cfg, SeedSpec(26, 0), 6)
+RANK_CFG = SystemConfig(4, 2, 3)
+
+
+def _rank_deficient(zero_pivot):
+    """(batch, broken copy) of six (4,2,3) trials: trial 2's direct channel
+    has a duplicate column and, with ``zero_pivot``, trial 4's first
+    column is zero, an exactly zero pivot."""
+    batch = draw_channel_batch(RANK_CFG, SeedSpec(26, 0), 6)
     direct = batch.direct.copy()
     direct[2, :, 1] = direct[2, :, 0]  # duplicate column in trial 2
+    if zero_pivot:
+        direct[4, :, 0] = 0.0  # exactly zero pivot in trial 4
     broken = ChannelBatch(direct=direct, ris_rx=batch.ris_rx,
                           tx_ris=batch.tx_ris, phases=batch.phases)
+    return batch, broken
+
+
+def test_batch_flags_rank_deficient_trials():
+    cfg = RANK_CFG
+    batch, broken = _rank_deficient(zero_pivot=False)
     gam, ok = batch_gammas(broken, cfg, (Scheme.DirectCsi, Scheme.FullCsi))
     assert not ok[2]
     assert ok.sum() == 5
@@ -226,7 +249,8 @@ PARITY_CONFIGS = (
 @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=_dims)
 def test_single_stream_kernels_match_all_stream_columns(cfg):
     # the one-stream path must reproduce the all-stream columns for every
-    # scheme; both run the same elimination, so this checks the stacking
+    # scheme; both fill the same stack for stream i and eliminate it once,
+    # so they agree byte for byte
     batch = draw_channel_batch(cfg, SeedSpec(28, 0), 64)
     full, ok_full = batch_gammas(batch, cfg, ALL)
     assert ok_full.all()
@@ -235,17 +259,12 @@ def test_single_stream_kernels_match_all_stream_columns(cfg):
         assert ok.all()
         for scheme in ALL:
             assert one[scheme].shape == (64,)
-            np.testing.assert_allclose(one[scheme], full[scheme][:, i], rtol=1e-12)
+            assert one[scheme].tobytes() == full[scheme][:, i].tobytes(), (scheme, i)
 
 
 def test_single_stream_kernels_flag_rank_deficient_trials():
-    cfg = SystemConfig(4, 2, 3)
-    batch = draw_channel_batch(cfg, SeedSpec(26, 0), 6)
-    direct = batch.direct.copy()
-    direct[2, :, 1] = direct[2, :, 0]  # duplicate column in trial 2
-    direct[4, :, 0] = 0.0  # exactly zero pivot in trial 4
-    broken = ChannelBatch(direct=direct, ris_rx=batch.ris_rx,
-                          tx_ris=batch.tx_ris, phases=batch.phases)
+    cfg = RANK_CFG
+    _, broken = _rank_deficient(zero_pivot=True)
     for scheme in ALL:
         _, want = batch_gammas(broken, cfg, (scheme,))
         for i in range(cfg.streams):
@@ -275,6 +294,113 @@ def test_all_zero_matrix_is_flagged():
                 gam, ok = batch_gammas(broken, cfg, (scheme,), streams)
             assert np.flatnonzero(~ok).tolist() == [1], (scheme, streams)
             assert np.all(np.isfinite(gam[scheme]))
+
+
+ORACLE_SCHEME_SETS = ((Scheme.DirectCsi,), (Scheme.Joint,),
+                      (Scheme.RisCsi, Scheme.FullCsi), ALL)
+
+
+def _scheme_ids(schemes):
+    return ",".join(s.value for s in schemes)
+
+
+def _stream_requests(cfg, schemes):
+    """Every stream at once, each stream for every scheme, and the schemes
+    on different streams."""
+    m = cfg.streams
+    return ([None] + [dict.fromkeys(schemes, i) for i in range(m)]
+            + [{s: (m - 1 - n) % m for n, s in enumerate(schemes)}])
+
+
+def _assert_same_bytes(got, want, schemes, what):
+    (gam, ok), (ref, ref_ok) = got, want
+    assert ok.tobytes() == ref_ok.tobytes(), what
+    for s in schemes:
+        assert gam[s].shape == ref[s].shape, (s, what)
+        assert gam[s].tobytes() == ref[s].tobytes(), (s, what)
+
+
+STACK_CONFIGS = PARITY_CONFIGS + (
+    SystemConfig(4, 2, 2),
+    SystemConfig(32, 14, 16, gain_direct=0.7, gain_tx_ris=0.7, gain_ris_rx=0.7),
+)
+
+
+@pytest.mark.parametrize("schemes", ORACLE_SCHEME_SETS, ids=_scheme_ids)
+@pytest.mark.parametrize("cfg", STACK_CONFIGS, ids=_dims)
+def test_stacked_kernel_matches_per_scheme_eliminations(cfg, schemes):
+    # one elimination of the shared stack against one per scheme and
+    # stream, byte for byte in the gammas and the rank flags; 300 trials
+    # of (32,14,16) are two slices, the oracle takes them in one piece
+    batch = draw_channel_batch(cfg, SeedSpec(33, 0), 300)
+    for streams in _stream_requests(cfg, schemes):
+        _assert_same_bytes(batch_gammas(batch, cfg, schemes, streams),
+                           per_scheme_gammas(batch, cfg, schemes, streams),
+                           schemes, streams)
+
+
+@pytest.mark.parametrize("zero_pivot", (False, True), ids=("duplicate", "zero-pivot"))
+def test_stacked_kernel_matches_per_scheme_eliminations_when_rank_deficient(zero_pivot):
+    # the rank-deficient batches above: the same bytes, the same flags
+    _, broken = _rank_deficient(zero_pivot)
+    degenerate = [2, 4] if zero_pivot else [2]
+    for schemes in ORACLE_SCHEME_SETS:
+        for streams in _stream_requests(RANK_CFG, schemes):
+            got = batch_gammas(broken, RANK_CFG, schemes, streams)
+            _assert_same_bytes(got, per_scheme_gammas(broken, RANK_CFG, schemes, streams),
+                               schemes, streams)
+            # only the direct channel is degenerate
+            uses_direct = not {Scheme.DirectCsi, Scheme.Joint}.isdisjoint(schemes)
+            assert np.flatnonzero(~got[1]).tolist() == (degenerate if uses_direct else [])
+
+
+def test_one_elimination_per_slice(monkeypatch):
+    # a stream request eliminates the shared stack once per slice, and an
+    # every-stream call once per stream per slice: never once per scheme
+    cfg = SystemConfig(32, 12, 16)
+    count = 600
+    sizes = trial_slices(cfg, count)
+    assert len(sizes) > 1
+    shapes = []
+    eliminate = detectors._eliminate
+
+    def counted(g):
+        shapes.append(g.shape)
+        return eliminate(g)
+
+    monkeypatch.setattr(detectors, "_eliminate", counted)
+    batch = draw_channel_batch(cfg, SeedSpec(34, 0), count)
+    m = cfg.streams
+    for schemes in ORACLE_SCHEME_SETS:
+        stacks = [(m, m + 1, len(schemes) * size) for size in sizes]
+        shapes.clear()
+        batch_gammas(batch, cfg, schemes, resolve_streams(cfg, schemes))
+        assert shapes == stacks, _scheme_ids(schemes)
+        shapes.clear()
+        batch_gammas(batch, cfg, schemes)
+        assert shapes == [shape for shape in stacks for _ in range(m)], _scheme_ids(schemes)
+
+
+# tracemalloc peak, after the draw, of an every-stream call on one whole
+# 1024-trial block under the earlier kernel that eliminated once per scheme
+# and stream (numpy 2.4, seed 30)
+PER_SCHEME_PEAK_BYTES = {(32, 12, 16): 5_482_033, (32, 14, 16): 6_926_968}
+
+
+@pytest.mark.parametrize("dims", sorted(PER_SCHEME_PEAK_BYTES), ids=str)
+def test_every_stream_block_stays_within_the_per_scheme_peak(dims):
+    # bench/checks.py::check_first_block makes this call, and its peak sets
+    # the fig1 benchmark's peak_rss_mb: the shared stack, filled once per
+    # stream, may hold at most 5% more than the per-scheme eliminations
+    cfg = SystemConfig(*dims)
+    batch = draw_channel_batch(cfg, SeedSpec(30, 0), 1024)
+    tracemalloc.start()
+    try:
+        batch_gammas(batch, cfg, ALL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * PER_SCHEME_PEAK_BYTES[dims], peak
 
 
 QR_CASES = {
