@@ -63,8 +63,7 @@ def _gain_vector(value, m, name):
         raise ConfigurationError(
             f"{name} needs one entry per stream ({m}), got {arr.size}"
         )
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-        raise ConfigurationError(f"{name} entries must be finite and > 0")
+    check_positive(arr, name)
     arr.flags.writeable = False
     return arr
 

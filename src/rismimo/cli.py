@@ -19,7 +19,7 @@ import os
 import sys
 import types
 
-from .channel import DEFAULT_SCALE_MODE, SCALE_MODES, SeedSpec, SystemConfig
+from .channel import DEFAULT_SCALE_MODE, SCALE_MODES, SystemConfig
 from .detectors import Scheme
 from .errors import ConfigurationError, NumericalRankError, NumericError
 from .errors import check_count, check_index
@@ -353,7 +353,7 @@ def run(manifest):
         manifest.sweep,
         manifest.schemes,
         manifest.trials,
-        SeedSpec(manifest.master_seed),
+        manifest.master_seed,
         stream=manifest.stream,
         workers=manifest.workers,
         scale_mode=manifest.scale_mode,
@@ -454,10 +454,11 @@ def build_manifest(ns, file_values):
     RunManifest.  A layer that sets a sweep (snr_db or rate) replaces the
     sweep of the layers below it.  A flag or config key that fixes the
     swept variable is refused; a preset's or default's is not used."""
-    given = dict(file_values)
-    given.update((k, x) for k, x in vars(ns).items() if x is not None and k != "config")
+    flags = {k: x for k, x in vars(ns).items() if x is not None and k != "config"}
+    given = {**file_values, **flags}
     v = {}
-    for layer in (_DEFAULT_LAYER, _PRESET_LAYERS.get(given.get("preset"), {}), given):
+    for layer in (_DEFAULT_LAYER, _PRESET_LAYERS.get(given.get("preset"), {}),
+                  file_values, flags):
         if {"snr_db", "rate"} & layer.keys():
             v.pop("snr_db", None)
             v.pop("rate", None)

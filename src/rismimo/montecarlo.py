@@ -223,12 +223,12 @@ def _chunk(payload):
     return parts, failures
 
 
-def _collect(cfg, schemes, streams, trials, seed, workers):
-    """All trial blocks through `_chunk` in ``workers`` payloads:
-    ({scheme: block results in index order}, failures)."""
+def _collect(cfg, schemes, streams, trials, master_seed, workers):
+    """All trial blocks of the integer ``master_seed`` through `_chunk` in
+    ``workers`` payloads: ({scheme: block results in index order}, failures)."""
     workers = check_count(workers, "workers")
     payloads = [
-        (cfg, schemes, streams, seed.master_seed, lo, hi, trials)
+        (cfg, schemes, streams, master_seed, lo, hi, trials)
         for lo, hi in _chunk_ranges(-(-trials // TRIALS_PER_BLOCK), workers)
     ]
     # at most one process per payload and per CPU: the executor may start
@@ -253,10 +253,13 @@ def _check_failures(failures, trials):
         )
 
 
-def _validate_trials(trials):
+def _validate_trials(trials, master_seed):
+    """``trials`` as an int, once the master seed and the key of the run's
+    last block are checked: the one up-front check of both."""
     trials = check_count(trials, "trials")
+    SeedSpec(master_seed)
     try:
-        SeedSpec(0, (trials - 1) // TRIALS_PER_BLOCK)  # the last block's key
+        SeedSpec(master_seed, (trials - 1) // TRIALS_PER_BLOCK)
     except ConfigurationError as exc:
         raise ConfigurationError(
             f"trials {trials} need more blocks than a seed key addresses: {exc}"
@@ -264,17 +267,19 @@ def _validate_trials(trials):
     return trials
 
 
-def snr_samples(cfg, schemes, trials, seed, stream=None, workers=1):
+def snr_samples(cfg, schemes, trials, master_seed, stream=None, workers=1):
     """Per-trial SNR samples at unit transmit power, one stream per scheme
     (default: each scheme's reporting stream).
 
-    Returns ({scheme: sorted 1-D array}, failures).  Deterministic for a
-    given seed and independent of ``workers``.
+    ``master_seed`` is an integer in [0, 2^64); block b draws from the
+    substream ``SeedSpec(master_seed, b)``. Returns ({scheme: sorted 1-D
+    array}, failures).  Deterministic for a given seed and independent of
+    ``workers``.
     """
     schemes = canonical_schemes(schemes)
-    trials = _validate_trials(trials)
+    trials = _validate_trials(trials, master_seed)
     streams = resolve_streams(cfg, schemes, stream)
-    parts, failures = _collect(cfg, schemes, streams, trials, seed, workers)
+    parts, failures = _collect(cfg, schemes, streams, trials, master_seed, workers)
     banks = {s: np.concatenate(parts[s]) for s in schemes}
     for bank in banks.values():
         bank.sort()  # in place: np.sort would copy each bank once more
@@ -312,7 +317,7 @@ def run_sweep(
     sweep,
     schemes,
     trials,
-    seed,
+    master_seed,
     stream=None,
     workers=1,
     scale_mode=DEFAULT_SCALE_MODE,
@@ -326,12 +331,13 @@ def run_sweep(
     smooth in the sweep variable and the cost does not scale with grid
     size.  Each scheme's law runs once, over the whole grid.  The
     cascade-CSI law holds for every N >= M and L >= M, the range its
-    detector accepts, so every analytic value is a number.
+    detector accepts, so every analytic value is a number.  The samples
+    are `snr_samples`' for the integer ``master_seed``.
     """
     if not isinstance(sweep, SweepSpec):
         raise ConfigurationError("sweep must be a SweepSpec")
     schemes = canonical_schemes(schemes)
-    trials = _validate_trials(trials)
+    trials = _validate_trials(trials, master_seed)
     workers = check_count(workers, "workers")
     streams = resolve_streams(cfg, schemes, stream)
 
@@ -348,7 +354,7 @@ def run_sweep(
                                method=joint_method).tolist()
             for s in schemes}
 
-    samples, _ = snr_samples(cfg, schemes, trials, seed, streams, workers)
+    samples, _ = snr_samples(cfg, schemes, trials, master_seed, streams, workers)
     valid = next(iter(samples.values())).size
     counts = {s: np.searchsorted(samples[s], thresholds[s], side="left").tolist()
               for s in schemes}

@@ -12,7 +12,6 @@ confluent hypergeometric function into a terminating series.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaln, kve
@@ -46,20 +45,10 @@ _PRODUCT_GAMMA_TAIL = 1e-3
 # or raises past this many terms
 _TAIL_LOG_REL = math.log(1e-17)
 _MAX_TAIL_TERMS = 1 << 16
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for `adaptive_quad`."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 200
-
-    def __post_init__(self):
-        check_positive(self.rel_tol, "rel_tol")
-        check_positive(self.abs_tol, "abs_tol")
-        check_count(self.max_subdivisions, "max_subdivisions")
+# adaptive_quad's tolerances and its QUADPACK subdivision limit
+_QUAD_REL_TOL = 1e-10
+_QUAD_ABS_TOL = 1e-14
+_QUAD_SUBDIVISIONS = 200
 
 
 def _marcum_parts(a, b):
@@ -276,8 +265,9 @@ def kummer_1f1_c2(a, x):
     return math.exp(x) * _kummer_poly(a, x)
 
 
-def adaptive_quad(f, lo, hi, spec, label):
-    """One checked QUADPACK call; returns (value, abserr).
+def adaptive_quad(f, lo, hi, label):
+    """One checked QUADPACK call with the module's _QUAD_* tolerances and
+    subdivision limit; returns (value, abserr).
 
     Raises NumericError (with the achieved tolerance attached) when the
     integrator reports failure instead of silently returning its estimate.
@@ -291,9 +281,9 @@ def adaptive_quad(f, lo, hi, spec, label):
         f,
         lo,
         hi,
-        epsabs=spec.abs_tol,
-        epsrel=spec.rel_tol,
-        limit=spec.max_subdivisions,
+        epsabs=_QUAD_ABS_TOL,
+        epsrel=_QUAD_REL_TOL,
+        limit=_QUAD_SUBDIVISIONS,
         full_output=1,
     )
     if len(out) > 3:

@@ -62,9 +62,9 @@ def clt_surrogate(cfg, seed, mode=DEFAULT_SCALE_MODE):
     return CltSurrogate(matrix, psi2, mode)
 
 
-def estimate_outage(cfg, scheme, gamma_th, tx_snr, trials, seed, workers=1):
+def estimate_outage(cfg, scheme, gamma_th, tx_snr, trials, master_seed, workers=1):
     """Empirical outage fraction per stream at transmit SNR tx_snr:
-    P(gamma_i < gamma_th).
+    P(gamma_i < gamma_th), over the trials of the integer ``master_seed``.
 
     Returns a list of OutageEstimate, indexed by stream.  gamma_th may be 0
     (estimate 0), a positive level, or inf (estimate 1).  Counting runs at
@@ -75,9 +75,9 @@ def estimate_outage(cfg, scheme, gamma_th, tx_snr, trials, seed, workers=1):
     g = float(gamma_th)
     if math.isnan(g) or g < 0.0:
         raise ConfigurationError(f"gamma_th must be >= 0 or inf, got {gamma_th}")
-    trials = _validate_trials(trials)
+    trials = _validate_trials(trials, master_seed)
     thr = threshold_at_unit_snr(scheme, cfg, tx_snr, g)
-    parts, failures = _collect(cfg, (scheme,), None, trials, seed, workers)
+    parts, failures = _collect(cfg, (scheme,), None, trials, master_seed, workers)
     counts = np.count_nonzero(np.concatenate(parts[scheme]) < thr, axis=0)
     valid = trials - failures
     return [_estimate_from_count(int(c), valid) for c in counts]

@@ -75,7 +75,7 @@ def banks():
     """Unit-power SNR sample banks, all four schemes, 10^6 trials each."""
     out = {}
     for dims, cfg in CONFIGS.items():
-        samples, failures = snr_samples(cfg, tuple(Scheme), TRIALS, SeedSpec(0, 0))
+        samples, failures = snr_samples(cfg, tuple(Scheme), TRIALS, 0)
         assert failures == 0
         out[dims] = samples
     return out
@@ -87,7 +87,7 @@ def thin_full_banks():
     out = {}
     for l in (2, 8):
         cfg = SystemConfig(32, 12, l)
-        samples, _ = snr_samples(cfg, (Scheme.FullCsi,), 200_000, SeedSpec(0, 0))
+        samples, _ = snr_samples(cfg, (Scheme.FullCsi,), 200_000, 0)
         out[l] = samples[Scheme.FullCsi]
     return out
 
@@ -295,7 +295,7 @@ def test_criterion_7_special_function_suite():
 def test_criterion_8_distributional_checks():
     # (a) direct-CSI normalized SNR is Gamma(N - M + 1)
     cfg = SystemConfig(32, 12, 16)
-    samples, _ = snr_samples(cfg, (Scheme.DirectCsi,), 100_000, SeedSpec(8, 0))
+    samples, _ = snr_samples(cfg, (Scheme.DirectCsi,), 100_000, 8)
     noise = cfg.ris_elements * cfg.gain_ris_rx * float(cfg.gain_tx_ris.sum()) + 1.0
     z = samples[Scheme.DirectCsi] * noise
     res_a = stats.kstest(z, lambda v: stats.gamma.cdf(v, a=21))

@@ -26,7 +26,7 @@ from rismimo.channel import (
 from rismimo.detectors import Scheme, batch_gammas, threshold_from_rate
 from rismimo.errors import ConfigurationError, NumericError
 from rismimo.montecarlo import threshold_at_unit_snr
-from rismimo.specfun import QuadratureSpec, adaptive_quad, marcum_q1_complement
+from rismimo.specfun import adaptive_quad, marcum_q1_complement
 
 from helpers import cli_manifest, estimate_outage, outage_joint_conditional
 
@@ -131,7 +131,7 @@ def test_joint_law_matches_monte_carlo_first_and_last_stream():
     # first and last streams have visibly different outage
     cfg = SystemConfig(8, 4, 8)
     g = 7.0
-    mc = estimate_outage(cfg, Scheme.Joint, g, 1.0, 200_000, SeedSpec(35, 0))
+    mc = estimate_outage(cfg, Scheme.Joint, g, 1.0, 200_000, 35)
     for i in (0, cfg.streams - 1):
         want = outage_joint(cfg, i, g, 1.0)
         assert abs(mc[i].probability - want) < 4 * mc[i].stderr + 1e-4, (i, want)
@@ -149,7 +149,6 @@ def _joint_paper_by_quadrature(cfg, i, gamma_th, p):
     """Paper-mode joint outage at transmit SNR p as a QUADPACK integral of
     the Marcum-Q conditional outage against the density of y = p |r_ii|^2,
         f(y) = y^{N-i-1} e^{-y/(p xi2_D,i)} / ((N-i-1)! (p xi2_D,i)^{N-i})."""
-    spec = QuadratureSpec()
     sigma2 = 0.5 * p * clt_psi2(cfg, SCALE_PAPER)[i]
     beta = p * cfg.gain_direct[i]
     n = cfg.rx_antennas - i - 1
@@ -178,7 +177,7 @@ def _joint_paper_by_quadrature(cfg, i, gamma_th, p):
     split = mode_y if 0.0 < mode_y < upper else 0.5 * upper
     total = 0.0
     for lo, hi in ((0.0, split), (split, upper)):
-        total += adaptive_quad(integrand, lo, hi, spec, "joint outage oracle")[0]
+        total += adaptive_quad(integrand, lo, hi, "joint outage oracle")[0]
     return min(max(total, 0.0), 1.0)
 
 

@@ -567,9 +567,51 @@ def test_fixed_value_of_the_swept_variable_is_refused(tmp_path, capsys):
     assert main(["--config", str(cfgfile)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error: snr_db_fixed is given"), err
+    # the file's fixed rate is refused once a flag's rate sweep replaces its sweep
+    cfgfile.write_text("snr_db = 0:2:1\nrate_fixed = 2\n")
+    out = tmp_path / "fixed.csv"
+    assert main(["--config", str(cfgfile), *small, "--rate", "1:2:1",
+                 "--output", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == ("configuration error: rate_fixed is given, but the rate sweep "
+                   "does not use it\n"), err
     # a preset's fixed value is not the user's: an SNR sweep over fig2 runs
     assert main(["--preset", "fig2", "--snr-db=0:5:1", "--trials", "1024",
                  "--output", str(tmp_path / "fig2.csv")]) == EXIT_OK
+
+
+def test_a_flag_sweep_replaces_the_config_file_sweep(tmp_path):
+    # defaults < preset < file < flags, for the sweep as for every setting:
+    # a flag's sweep replaces the file's, as the file's replaces a preset's
+    small = ["--n", "4", "--m", "2", "--l", "2", "--trials", "100"]
+    for line, sweep, variable, values in (
+            ("snr_db = 0:2:1", ("--rate", "1:2:1"), "rate", "1,2"),
+            ("rate = 1:2:1", ("--snr-db=0:2:1",), "snr_db", "0,1,2")):
+        cfgfile = tmp_path / "sweep.conf"
+        cfgfile.write_text(line + "\n")
+        out = tmp_path / "sweep.csv"
+        argv = ["--config", str(cfgfile), *small, *sweep, "--output", str(out)]
+        assert main(argv) == EXIT_OK, line
+        header = out.read_text().split("\n")
+        assert f"# sweep_variable = {variable}" in header, line
+        assert f"# sweep_values = {values}" in header, line
+
+
+def test_a_seed_outside_the_key_fails_before_any_law_or_sampling(tmp_path, capsys,
+                                                                 monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a law or the sampler ran before the seed was checked")
+
+    monkeypatch.setattr(analytic, "outage", no_work)
+    monkeypatch.setattr(montecarlo, "snr_samples", no_work)
+    for seed, rule in (("-1", "master_seed must be an integer >= 0, got -1"),
+                       (str(2**64), "master_seed must fit in 64 unsigned bits")):
+        status, out = _run_small(tmp_path, "seed.csv", (f"--seed={seed}",))
+        assert status == EXIT_CONFIG, seed
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == f"configuration error: {rule}\n", err
 
 
 def test_summary_first_column_is_the_sweep_grid(tmp_path, capsys):

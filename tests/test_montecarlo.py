@@ -39,40 +39,40 @@ SMALL = SystemConfig(4, 2, 2)
 
 
 def test_threshold_sentinels():
-    ests = estimate_outage(SMALL, Scheme.DirectCsi, 0.0, 1.0, 500, SeedSpec(70, 0))
+    ests = estimate_outage(SMALL, Scheme.DirectCsi, 0.0, 1.0, 500, 70)
     assert len(ests) == SMALL.streams
     assert all(e.probability == 0.0 for e in ests)
-    ests = estimate_outage(SMALL, Scheme.FullCsi, math.inf, 1.0, 500, SeedSpec(70, 0))
+    ests = estimate_outage(SMALL, Scheme.FullCsi, math.inf, 1.0, 500, 70)
     assert all(e.probability == 1.0 for e in ests)
     with pytest.raises(ConfigurationError):
-        estimate_outage(SMALL, Scheme.FullCsi, -1.0, 1.0, 500, SeedSpec(70, 0))
+        estimate_outage(SMALL, Scheme.FullCsi, -1.0, 1.0, 500, 70)
     with pytest.raises(ConfigurationError):
-        estimate_outage(SMALL, Scheme.FullCsi, 1.0, 1.0, 0, SeedSpec(70, 0))
+        estimate_outage(SMALL, Scheme.FullCsi, 1.0, 1.0, 0, 70)
 
 
 def test_direct_estimate_within_three_stderr():
     cfg = SystemConfig(4, 2, 8)
     want = outage_direct(cfg, 0, 7.0, 1.0)
-    est = estimate_outage(cfg, Scheme.DirectCsi, 7.0, 1.0, 100_000, SeedSpec(71, 0))[0]
+    est = estimate_outage(cfg, Scheme.DirectCsi, 7.0, 1.0, 100_000, 71)[0]
     assert abs(est.probability - want) <= 3 * max(est.stderr, 1e-5)
     # non-degenerate operating point as well
     cfg2 = SystemConfig(8, 2, 1)
     want2 = outage_direct(cfg2, 0, 2.0, 1.0)
     assert 0.2 < want2 < 0.6
-    est2 = estimate_outage(cfg2, Scheme.DirectCsi, 2.0, 1.0, 100_000, SeedSpec(71, 0))[0]
+    est2 = estimate_outage(cfg2, Scheme.DirectCsi, 2.0, 1.0, 100_000, 71)[0]
     assert abs(est2.probability - want2) <= 3 * est2.stderr
 
 
 def test_ris_estimate_within_three_stderr():
     cfg = SystemConfig(8, 4, 8)
     want = outage_ris(cfg, 0, 3.0, 2.0)
-    est = estimate_outage(cfg, Scheme.RisCsi, 3.0, 2.0, 100_000, SeedSpec(72, 0))[0]
+    est = estimate_outage(cfg, Scheme.RisCsi, 3.0, 2.0, 100_000, 72)[0]
     assert abs(est.probability - want) <= 3 * est.stderr
 
 
 def test_stderr_halves_when_trials_quadruple():
-    a = estimate_outage(SMALL, Scheme.FullCsi, 3.0, 1.0, 10_000, SeedSpec(73, 0))[0]
-    b = estimate_outage(SMALL, Scheme.FullCsi, 3.0, 1.0, 40_000, SeedSpec(73, 0))[0]
+    a = estimate_outage(SMALL, Scheme.FullCsi, 3.0, 1.0, 10_000, 73)[0]
+    b = estimate_outage(SMALL, Scheme.FullCsi, 3.0, 1.0, 40_000, 73)[0]
     assert 0.05 < a.probability < 0.95
     assert b.stderr == pytest.approx(a.stderr / 2.0, rel=0.10)
 
@@ -110,24 +110,24 @@ def test_threshold_map_edge_values():
 
 
 def test_snr_samples_deterministic_and_sorted():
-    a, fa = snr_samples(SMALL, (Scheme.FullCsi, Scheme.Joint), 2_000, SeedSpec(75, 0))
-    b, fb = snr_samples(SMALL, (Scheme.Joint, Scheme.FullCsi), 2_000, SeedSpec(75, 0))
+    a, fa = snr_samples(SMALL, (Scheme.FullCsi, Scheme.Joint), 2_000, 75)
+    b, fb = snr_samples(SMALL, (Scheme.Joint, Scheme.FullCsi), 2_000, 75)
     assert fa == fb == 0
     for s in (Scheme.FullCsi, Scheme.Joint):
         assert np.array_equal(a[s], b[s])
         assert np.all(np.diff(a[s]) >= 0)
-    c, _ = snr_samples(SMALL, (Scheme.FullCsi,), 2_000, SeedSpec(76, 0))
+    c, _ = snr_samples(SMALL, (Scheme.FullCsi,), 2_000, 76)
     assert not np.array_equal(a[Scheme.FullCsi], c[Scheme.FullCsi])
 
 
 def test_worker_count_does_not_change_results():
     for workers in (2, 3):
-        a, _ = snr_samples(SMALL, (Scheme.FullCsi,), 5_000, SeedSpec(77, 0), workers=1)
-        b, _ = snr_samples(SMALL, (Scheme.FullCsi,), 5_000, SeedSpec(77, 0),
+        a, _ = snr_samples(SMALL, (Scheme.FullCsi,), 5_000, 77, workers=1)
+        b, _ = snr_samples(SMALL, (Scheme.FullCsi,), 5_000, 77,
                            workers=workers)
         assert np.array_equal(a[Scheme.FullCsi], b[Scheme.FullCsi])
-    e1 = estimate_outage(SMALL, Scheme.Joint, 2.0, 1.0, 5_000, SeedSpec(77, 0), workers=1)
-    e2 = estimate_outage(SMALL, Scheme.Joint, 2.0, 1.0, 5_000, SeedSpec(77, 0), workers=2)
+    e1 = estimate_outage(SMALL, Scheme.Joint, 2.0, 1.0, 5_000, 77, workers=1)
+    e2 = estimate_outage(SMALL, Scheme.Joint, 2.0, 1.0, 5_000, 77, workers=2)
     assert [e.probability for e in e1] == [e.probability for e in e2]
 
 
@@ -152,11 +152,11 @@ def test_pool_starts_one_process_per_payload(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
     trials = 4 * montecarlo.TRIALS_PER_BLOCK
-    a, _ = snr_samples(SMALL, (Scheme.FullCsi,), trials, SeedSpec(77, 0), workers=1)
+    a, _ = snr_samples(SMALL, (Scheme.FullCsi,), trials, 77, workers=1)
     for cpus, pool in ((8, [4]), (2, [2]), (None, [])):
         sizes.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        b, _ = snr_samples(SMALL, (Scheme.FullCsi,), trials, SeedSpec(77, 0),
+        b, _ = snr_samples(SMALL, (Scheme.FullCsi,), trials, 77,
                            workers=64)
         assert sizes == pool, cpus
         assert np.array_equal(a[Scheme.FullCsi], b[Scheme.FullCsi])
@@ -173,7 +173,7 @@ def test_failure_rate_guard():
 
 def test_estimates_are_per_stream():
     cfg = SystemConfig(6, 3, 2, gain_direct=(1.0, 3.0, 30.0))
-    ests = estimate_outage(cfg, Scheme.DirectCsi, 1.0, 1.0, 20_000, SeedSpec(79, 0))
+    ests = estimate_outage(cfg, Scheme.DirectCsi, 1.0, 1.0, 20_000, 79)
     assert len(ests) == 3
     probs = [e.probability for e in ests]
     assert probs[0] > probs[1] > probs[2]  # weaker stream, more outage
@@ -244,9 +244,9 @@ def test_sweep_spec_checks_its_fixed_value():
 
 def test_single_point_sweep_reduces_to_estimate():
     sweep = SweepSpec("snr_db", (3.0,), 2.0)
-    (point,) = run_sweep(SMALL, sweep, (Scheme.FullCsi,), 3_000, SeedSpec(80, 0))
+    (point,) = run_sweep(SMALL, sweep, (Scheme.FullCsi,), 3_000, 80)
     p = 10.0 ** 0.3
-    est = estimate_outage(SMALL, Scheme.FullCsi, 3.0, p, 3_000, SeedSpec(80, 0))[0]
+    est = estimate_outage(SMALL, Scheme.FullCsi, 3.0, p, 3_000, 80)[0]
     got = point.empirical[Scheme.FullCsi]
     assert got.probability == est.probability  # same trials, same events
     assert got.stderr == est.stderr
@@ -259,12 +259,12 @@ def test_single_point_sweep_reduces_to_estimate():
 def test_sweep_grid_columns():
     # a point carries only its outages; the sweep holds its operating point
     rates = SweepSpec("rate", (1.0, 2.0, 3.0), 10 * math.log10(2.0))
-    points = run_sweep(SMALL, rates, (Scheme.FullCsi,), 2_000, SeedSpec(81, 0))
+    points = run_sweep(SMALL, rates, (Scheme.FullCsi,), 2_000, 81)
     assert len(points) == 3
     assert list(rates.gamma_th) == [1.0, 3.0, 7.0]
     assert all(v == pytest.approx(10 * math.log10(2.0)) for v in rates.snr_db)
     snrs = SweepSpec("snr_db", (-2.0, 0.0, 2.0), 3.0)
-    snr_points = run_sweep(SMALL, snrs, (Scheme.FullCsi,), 2_000, SeedSpec(81, 0))
+    snr_points = run_sweep(SMALL, snrs, (Scheme.FullCsi,), 2_000, 81)
     assert len(snr_points) == 3
     assert list(snrs.snr_db) == [-2.0, 0.0, 2.0]
     assert all(g == 7.0 for g in snrs.gamma_th)  # rate 3
@@ -274,47 +274,63 @@ def test_sweep_empirical_curve_is_monotone_in_power():
     # common draws across grid points make the empirical curve exactly
     # monotone, not just statistically so
     points = run_sweep(SMALL, SweepSpec("snr_db", tuple(range(-6, 7, 2)), 3.0),
-                       (Scheme.FullCsi, Scheme.Joint), 4_000, SeedSpec(82, 0))
+                       (Scheme.FullCsi, Scheme.Joint), 4_000, 82)
     for s in (Scheme.FullCsi, Scheme.Joint):
         probs = [p.empirical[s].probability for p in points]
         assert all(b <= a for a, b in zip(probs, probs[1:]))
 
 
 def test_sweep_validates_inputs():
-    with pytest.raises(ConfigurationError):
-        run_sweep(SMALL, ("snr_db", (0.0,)), (Scheme.FullCsi,), 100, SeedSpec(83, 0))
+    one = SweepSpec("snr_db", (0.0,), 3.0)
+    with pytest.raises(ConfigurationError, match="sweep must be a SweepSpec"):
+        run_sweep(SMALL, ("snr_db", (0.0,)), (Scheme.FullCsi,), 100, 83)
     cfg = SystemConfig(4, 3, 2)
-    with pytest.raises(ConfigurationError):
-        run_sweep(cfg, SweepSpec("snr_db", (0.0,), 3.0), (Scheme.RisCsi,), 100,
-                  SeedSpec(83, 0))
-    with pytest.raises(ConfigurationError):
-        run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), (Scheme.Joint,), 100,
-                  SeedSpec(83, 0), joint_method="printed", scale_mode="derived")
+    with pytest.raises(ConfigurationError, match="needs ris_elements >= streams"):
+        run_sweep(cfg, one, (Scheme.RisCsi,), 100, 83)
+    with pytest.raises(ConfigurationError, match="printed joint closed form"):
+        run_sweep(SMALL, one, (Scheme.Joint,), 100, 83,
+                  joint_method="printed", scale_mode="derived")
     # the last block's index must fit a seed key
     most = 2**56 * montecarlo.TRIALS_PER_BLOCK
-    assert montecarlo._validate_trials(most) == most
-    with pytest.raises(ConfigurationError, match="trials"):
-        run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), (Scheme.FullCsi,), most + 1,
-                  SeedSpec(83, 0))
+    assert montecarlo._validate_trials(most, 83) == most
+    with pytest.raises(ConfigurationError, match="need more blocks than a seed key"):
+        run_sweep(SMALL, one, (Scheme.FullCsi,), most + 1, 83)
     for workers in (0, -2):
-        with pytest.raises(ConfigurationError):
-            run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), (Scheme.FullCsi,), 100,
-                      SeedSpec(83, 0), workers=workers)
-        with pytest.raises(ConfigurationError):
-            estimate_outage(SMALL, Scheme.FullCsi, 1.0, 1.0, 100, SeedSpec(83, 0),
-                            workers=workers)
+        with pytest.raises(ConfigurationError, match="workers must be a positive integer"):
+            run_sweep(SMALL, one, (Scheme.FullCsi,), 100, 83, workers=workers)
+        with pytest.raises(ConfigurationError, match="workers must be a positive integer"):
+            estimate_outage(SMALL, Scheme.FullCsi, 1.0, 1.0, 100, 83, workers=workers)
     # no count or index is truncated: trials 2.9 would run 2 trials
-    for bad in ({"trials": 2.9}, {"trials": True}, {"workers": 1.5}, {"stream": 1.7}):
+    for bad, rule in (({"trials": 2.9}, "trials must be"), ({"trials": True}, "trials must be"),
+                      ({"workers": 1.5}, "workers must be"),
+                      ({"stream": 1.7}, "stream index must be")):
         args = {"trials": 100, **bad}
         trials = args.pop("trials")
-        with pytest.raises(ConfigurationError):
-            run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), (Scheme.FullCsi,), trials,
-                      SeedSpec(83, 0), **args)
-        with pytest.raises(ConfigurationError):
-            snr_samples(SMALL, (Scheme.FullCsi,), trials, SeedSpec(83, 0), **args)
-    samples, _ = snr_samples(SMALL, (Scheme.FullCsi,), np.int64(3), SeedSpec(83, 0),
+        with pytest.raises(ConfigurationError, match=rule):
+            run_sweep(SMALL, one, (Scheme.FullCsi,), trials, 83, **args)
+        with pytest.raises(ConfigurationError, match=rule):
+            snr_samples(SMALL, (Scheme.FullCsi,), trials, 83, **args)
+    samples, _ = snr_samples(SMALL, (Scheme.FullCsi,), np.int64(3), np.uint64(83),
                              stream=np.int64(1), workers=np.int64(1))
     assert samples[Scheme.FullCsi].size == 3
+
+
+def test_engine_takes_the_master_seed_as_an_integer():
+    # a SeedSpec's stream_index would be ignored, so the engine refuses it,
+    # and checks the seed by SeedSpec's own rules before any law
+    one = SweepSpec("snr_db", (0.0,), 3.0)
+    for seed, rule in ((SeedSpec(5, 3), "master_seed must be an integer >= 0, got SeedSpec"),
+                       (-1, "master_seed must be an integer >= 0, got -1"),
+                       (2.0, "master_seed must be an integer >= 0, got 2.0"),
+                       (2**64, "master_seed must fit in 64 unsigned bits")):
+        with pytest.raises(ConfigurationError, match=re.escape(rule)):
+            run_sweep(SMALL, one, (Scheme.FullCsi,), 100, seed)
+        with pytest.raises(ConfigurationError, match=re.escape(rule)):
+            snr_samples(SMALL, (Scheme.FullCsi,), 100, seed)
+    # the largest seed runs, and a NumPy integer draws the bytes of its int
+    a, _ = snr_samples(SMALL, (Scheme.FullCsi,), 100, 2**64 - 1)
+    b, _ = snr_samples(SMALL, (Scheme.FullCsi,), 100, np.uint64(2**64 - 1))
+    assert a[Scheme.FullCsi].tobytes() == b[Scheme.FullCsi].tobytes()
 
 
 def test_sweep_ris_law_matches_monte_carlo_when_elements_exceed_antennas():
@@ -323,7 +339,7 @@ def test_sweep_ris_law_matches_monte_carlo_when_elements_exceed_antennas():
     for dims in ((4, 2, 8), (8, 4, 16)):
         cfg = SystemConfig(*dims)
         sweep = SweepSpec("snr_db", (0.0, 10.0, 20.0), 3.0)
-        points = run_sweep(cfg, sweep, (Scheme.RisCsi,), 102_400, SeedSpec(84, 0))
+        points = run_sweep(cfg, sweep, (Scheme.RisCsi,), 102_400, 84)
         for snr_db, point in zip(sweep.values, points):
             want = point.analytic[Scheme.RisCsi]
             est = point.empirical[Scheme.RisCsi]
@@ -342,7 +358,7 @@ def test_sweep_columns_equal_per_point_law_calls():
         for sweep in sweeps:
             for mode, method in (("derived", "quadrature"), ("paper", "quadrature"),
                                  ("paper", "printed")):
-                points = run_sweep(cfg, sweep, schemes, 1024, SeedSpec(97, 0),
+                points = run_sweep(cfg, sweep, schemes, 1024, 97,
                                    scale_mode=mode, joint_method=method)
                 streams = resolve_streams(cfg, schemes)
                 for s in schemes:
@@ -373,7 +389,7 @@ def test_sweep_law_failure_stops_before_sampling(monkeypatch):
     monkeypatch.setattr(montecarlo, "snr_samples", recording_samples)
     with pytest.raises(NumericError):
         run_sweep(SMALL, SweepSpec("snr_db", (0.0, 5.0, 10.0), 3.0),
-                  (Scheme.DirectCsi, Scheme.RisCsi), 1_000, SeedSpec(86, 0))
+                  (Scheme.DirectCsi, Scheme.RisCsi), 1_000, 86)
     assert sampled == []
 
 
@@ -456,7 +472,7 @@ def test_sampling_calls_the_traced_names_once_per_slice(monkeypatch):
     monkeypatch.setattr(montecarlo, "draw_channel_batch", counted_draw)
     monkeypatch.setattr(montecarlo, "batch_gammas", counted_gammas)
     trials = 2 * montecarlo.TRIALS_PER_BLOCK + 301
-    samples, failures = snr_samples(SLICED, ALL, trials, SeedSpec(93, 0))
+    samples, failures = snr_samples(SLICED, ALL, trials, 93)
     assert sum(draws) == trials
     assert len(draws) == 2 * len(trial_slices(SLICED, montecarlo.TRIALS_PER_BLOCK)) + 2
     assert len(calls) == len(draws)
@@ -486,15 +502,15 @@ def test_a_failing_slice_reraises_and_leaves_no_thread(monkeypatch, failing):
     monkeypatch.setattr(montecarlo, failing, fail_on_second)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match=f"{failing} failed"):
-        snr_samples(SLICED, ALL, 2 * montecarlo.TRIALS_PER_BLOCK, SeedSpec(94, 0))
+        snr_samples(SLICED, ALL, 2 * montecarlo.TRIALS_PER_BLOCK, 94)
     assert threading.active_count() == threads
     assert len(calls) >= 2
 
 
 def test_a_drawn_slice_leaves_no_thread():
     threads = threading.active_count()
-    snr_samples(SMALL, ALL, 3000, SeedSpec(95, 0))
-    run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), ALL, 3000, SeedSpec(95, 0))
+    snr_samples(SMALL, ALL, 3000, 95)
+    run_sweep(SMALL, SweepSpec("snr_db", (0.0,), 3.0), ALL, 3000, 95)
     assert threading.active_count() == threads
 
 

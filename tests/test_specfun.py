@@ -22,7 +22,6 @@ from rismimo.channel import SCALE_PAPER, SystemConfig, clt_psi2
 from rismimo.detectors import Scheme
 from rismimo.errors import ConfigurationError, NumericError
 from rismimo.specfun import (
-    QuadratureSpec,
     adaptive_quad,
     gamma_expectation_rule,
     kummer_1f1_c2,
@@ -289,28 +288,16 @@ def test_gamma_rule_matches_scipy_tridiagonal_reference():
 
 # --- adaptive quadrature wrapper ---------------------------------------------
 
-def test_quadrature_spec_validation():
-    for bad in ({"rel_tol": -1e-9}, {"abs_tol": math.inf},
-                {"max_subdivisions": 0}, {"max_subdivisions": 1.5}):
-        with pytest.raises(ConfigurationError):
-            QuadratureSpec(**bad)
-
-
 def test_adaptive_quad_reports_label_and_tolerance():
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-300, max_subdivisions=2)
-
-    def nasty(x):
-        return math.sin(50.0 * x) ** 2 / (1e-4 + abs(x - 0.31))
-
+    # 1/x on (0, 1) diverges, so QUADPACK spends all 200 subdivisions
     with pytest.raises(NumericError) as info:
-        adaptive_quad(nasty, 0.0, 1.0, spec, "nasty test integral")
+        adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0, "nasty test integral")
     assert "nasty test integral" in str(info.value)
-    assert info.value.achieved_tolerance is None or info.value.achieved_tolerance > 0
+    assert info.value.achieved_tolerance > 0
 
 
 def test_adaptive_quad_simple_integral():
-    spec = QuadratureSpec()
-    val, err = adaptive_quad(math.exp, 0.0, 1.0, spec, "exp")
+    val, err = adaptive_quad(math.exp, 0.0, 1.0, "exp")
     assert val == pytest.approx(math.e - 1.0, rel=1e-12)
     assert err < 1e-10
 
