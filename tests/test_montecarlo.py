@@ -310,14 +310,14 @@ def test_sweep_validates_inputs():
             run_sweep(SMALL, one, (Scheme.FullCsi,), trials, 83, **args)
         with pytest.raises(ConfigurationError, match=rule):
             snr_samples(SMALL, (Scheme.FullCsi,), trials, 83, **args)
-    samples, _ = snr_samples(SMALL, (Scheme.FullCsi,), np.int64(3), np.uint64(83),
+    samples, _ = snr_samples(SMALL, (Scheme.FullCsi,), np.int64(3), 83,
                              stream=np.int64(1), workers=np.int64(1))
     assert samples[Scheme.FullCsi].size == 3
 
 
 def test_engine_takes_the_master_seed_as_an_integer():
     # a SeedSpec's stream_index would be ignored, so the engine refuses it,
-    # and checks the seed by SeedSpec's own rules before any law
+    # and checks the seed by SeedSpec's own rules
     one = SweepSpec("snr_db", (0.0,), 3.0)
     for seed, rule in ((SeedSpec(5, 3), "master_seed must be an integer >= 0, got SeedSpec"),
                        (-1, "master_seed must be an integer >= 0, got -1"),
